@@ -29,7 +29,7 @@ from .errors import ConfigurationError, DomainError, SpuriousRelationError
 from .numkernel import BigReal, PrecisionContext, as_real
 
 DEFAULT_MAX_STEPS = 50_000
-RAY_CLASS_DEGREE_CAP = 16  #配置 cap for the n = 2, 3 lemniscates
+RAY_CLASS_DEGREE_CAP = 16  # degree cap for the n = 2, 3 lemniscates
 
 
 def _precision_budget_degree(ctx: PrecisionContext, max_height: int) -> int:
@@ -142,9 +142,11 @@ def pslq(xs: Sequence, max_height: int, ctx: PrecisionContext,
                     H[r][i + 1] = -c1 * h0 + c0 * h1
             reduce_from(i + 1)
 
-            smallest = min(abs(v) for v in y)
-            if smallest < detect_tol:
-                j = min(range(n), key=lambda k: abs(y[k]))
+            # several y entries can fall below the tolerance together, and
+            # the relation need not sit in the column of the smallest one
+            for j in sorted(range(n), key=lambda k: abs(y[k])):
+                if abs(y[j]) >= detect_tol:
+                    break
                 cand = [int(mp.nint(B[r][j])) for r in range(n)]
                 if accepted(cand):
                     return cand
@@ -276,13 +278,13 @@ class DegreeBoundRecord:
     degree_cap: int
 
 
-def documented_degree_bound(curve, l: int, default_cap: int = RAY_CLASS_DEGREE_CAP) -> DegreeBoundRecord:
+def documented_degree_bound(curve, l: int) -> DegreeBoundRecord:
     """Field membership statement and degree cap for division radii.
 
     Only the circle bound phi(4l) is computed exactly; the one- and
     three-leaf lemniscate radii lie in (extensions of) ray class fields
-    whose degrees this package does not compute, so those use a
-    configurable conservative cap.
+    whose degrees this package does not compute, so those use the
+    conservative cap RAY_CLASS_DEGREE_CAP.
     """
     if not isinstance(curve, Erdos) or curve.n not in (1, 2, 3):
         raise DomainError("degree bounds are documented for Erdos n in {1, 2, 3}")
@@ -298,11 +300,11 @@ def documented_degree_bound(curve, l: int, default_cap: int = RAY_CLASS_DEGREE_C
         return DegreeBoundRecord(
             curve, l,
             f"division radii lie in the ray class field of Q(i) with modulus {4 * l}; "
-            f"its degree is not computed here (configured cap {default_cap})",
-            default_cap)
+            f"its degree is not computed here (configured cap {RAY_CLASS_DEGREE_CAP})",
+            RAY_CLASS_DEGREE_CAP)
     return DegreeBoundRecord(
         curve, l,
         f"division radii lie in an extension of degree at most 2 of the ray class "
         f"field of Q(zeta_3) with modulus {2 * l}; its degree is not computed here "
-        f"(configured cap {default_cap})",
-        default_cap)
+        f"(configured cap {RAY_CLASS_DEGREE_CAP})",
+        RAY_CLASS_DEGREE_CAP)

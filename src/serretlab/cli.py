@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -29,33 +28,13 @@ from . import algebra, division, identities, render
 from .curves import Erdos, PolyLemniscate, Regular, Sinusoidal, total_length_closed, total_length_quadrature
 from .errors import (ConfigurationError, ConvergenceError, DomainError, IntegrandError,
                      InternalConsistencyError, SerretError, SpuriousRelationError)
-from .numkernel import PrecisionContext, from_decimal, make_context, to_decimal
+from .numkernel import from_decimal, make_context, to_decimal
 
 DEFAULT_DIGITS = 50
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    digits: int = DEFAULT_DIGITS
-    output_format: str = "json"
-    svg_out: str = None
-
-
-def _config(ns) -> CliConfig:
-    return CliConfig(digits=ns.digits, output_format=ns.format,
-                     svg_out=getattr(ns, "svg_out", None))
-
-
-def _context(config: CliConfig) -> PrecisionContext:
-    return make_context(config.digits)
-
-
-def _dec(x, ctx):
-    return to_decimal(x, ctx)
-
-
 def _parse_kv(tokens, wanted):
-    """Parse ['a=0.8', 'k=2'] style token lists."""
+    """Parse ['a=0.8', 'k=2'] style token lists; every wanted key is required."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -64,6 +43,9 @@ def _parse_kv(tokens, wanted):
         if key not in wanted:
             raise ConfigurationError(f"unknown parameter {key!r} (expected {sorted(wanted)})")
         out[key] = val
+    missing = wanted - out.keys()
+    if missing:
+        raise ConfigurationError(f"missing parameter(s) {sorted(missing)}")
     return out
 
 
@@ -72,6 +54,18 @@ def _fraction(text) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"not a rational literal: {text!r}") from exc
+
+
+def _integer(text) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"not an integer literal: {text!r}") from exc
+
+
+def _cassini_a(text) -> Fraction:
+    """The a of a --cassini value, given as 'a=A' or as a bare 'A'."""
+    return _fraction(_parse_kv([text if "=" in text else f"a={text}"], {"a"})["a"])
 
 
 def _curve_from_flags(ns):
@@ -91,20 +85,14 @@ def _curve_from_flags(ns):
         return Sinusoidal(q.numerator, q.denominator)
     if kind == "regular":
         kv = _parse_kv(ns.regular, {"a", "k"})
-        if "a" not in kv or "k" not in kv:
-            raise ConfigurationError("--regular needs a=<rational> k=<int>")
-        return Regular(_fraction(kv["a"]), int(kv["k"]))
+        return Regular(_fraction(kv["a"]), _integer(kv["k"]))
     if kind == "cassini":
-        kv = _parse_kv([ns.cassini] if "=" in ns.cassini else [f"a={ns.cassini}"], {"a"})
-        return Regular(_fraction(kv["a"]), 2)
+        return Regular(_cassini_a(ns.cassini), 2)
     if kind == "poly":
         coeffs_desc = []
         for tok in ns.poly.split(","):
-            if ":" in tok:
-                re_s, im_s = tok.split(":")
-                coeffs_desc.append(complex(float(Fraction(re_s)), float(Fraction(im_s))))
-            else:
-                coeffs_desc.append(complex(float(_fraction(tok)), 0.0))
+            re_s, _, im_s = tok.partition(":")
+            coeffs_desc.append(complex(float(_fraction(re_s)), float(_fraction(im_s or "0"))))
         return PolyLemniscate(tuple(reversed(coeffs_desc)))
     return PolyLemniscate(render.mandelbrot_coeffs(ns.mandelbrot_level))
 
@@ -136,8 +124,7 @@ def _length_citations(curve):
     return cites
 
 
-def _emit(payload, config: CliConfig):
-    fmt = config.output_format
+def _emit(payload, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     elif fmt == "csv":
@@ -158,8 +145,7 @@ def _emit(payload, config: CliConfig):
 
 
 def cmd_length(ns) -> int:
-    config = _config(ns)
-    ctx = _context(config)
+    ctx = make_context(ns.digits)
     curve = _curve_from_flags(ns)
     if isinstance(curve, PolyLemniscate):
         raise ConfigurationError("length needs a curve with an arc-length formula")
@@ -170,15 +156,15 @@ def cmd_length(ns) -> int:
     payload = {
         "command": "length",
         "params": _curve_params(curve),
-        "digits": config.digits,
+        "digits": ns.digits,
         "results": [{
-            "closed_form": _dec(closed, ctx),
-            "quadrature": _dec(quad, ctx),
-            "residual": _dec(disc, ctx),
+            "closed_form": to_decimal(closed, ctx),
+            "quadrature": to_decimal(quad, ctx),
+            "residual": to_decimal(disc, ctx),
         }],
         "citations": _length_citations(curve),
     }
-    _emit(payload, config)
+    _emit(payload, ns.format)
     return 0
 
 
@@ -186,12 +172,12 @@ def _point_row(p, ctx):
     return {
         "index": p.index,
         "fraction": str(p.fraction),
-        "s": _dec(p.s, ctx),
-        "radius": _dec(p.radius, ctx),
-        "theta": _dec(p.theta, ctx),
-        "x": _dec(p.x, ctx),
-        "y": _dec(p.y, ctx),
-        "residual": _dec(p.residual, ctx),
+        "s": to_decimal(p.s, ctx),
+        "radius": to_decimal(p.radius, ctx),
+        "theta": to_decimal(p.theta, ctx),
+        "x": to_decimal(p.x, ctx),
+        "y": to_decimal(p.y, ctx),
+        "residual": to_decimal(p.residual, ctx),
     }
 
 
@@ -223,12 +209,12 @@ def _minpoly_columns(candidate, ctx):
         "minpoly": _poly_text(candidate.coeffs),
         "minpoly_degree": candidate.degree,
         "minpoly_height": candidate.height,
-        "minpoly_residual": _dec(candidate.residual, ctx),
+        "minpoly_residual": to_decimal(candidate.residual, ctx),
         "minpoly_verified": candidate.verified,
     }
 
 
-def _divide_leaf(ns, config, ctx, curve):
+def _divide_leaf(ns, ctx, curve):
     points = division.divide_fundamental_arc(curve, ns.parts, ctx)
     rows = [_point_row(p, ctx) for p in points]
     citations = [
@@ -256,37 +242,36 @@ def _divide_leaf(ns, config, ctx, curve):
     payload = {
         "command": "divide",
         "params": {**_curve_params(curve), "parts": ns.parts},
-        "digits": config.digits,
+        "digits": ns.digits,
         "results": rows,
         "citations": citations,
     }
-    if config.svg_out:
+    if ns.svg_out:
         expanded = division.expand_by_symmetry(curve, points)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
         opts = render.RenderOptions()
         svg = render.emit_svg(render.trace_polar(curve, 720), markers, opts)
-        with open(config.svg_out, "w") as fh:
+        with open(ns.svg_out, "w") as fh:
             fh.write(svg)
-    _emit(payload, config)
+    _emit(payload, ns.format)
     return 0
 
 
-def _divide_cassini(ns, config, ctx):
-    kv = _parse_kv([ns.cassini] if "=" in ns.cassini else [f"a={ns.cassini}"], {"a"})
-    a = _fraction(kv["a"])
+def _divide_cassini(ns, ctx):
+    a = _cassini_a(ns.cassini)
     result = division.divide_cassini(a, ns.n, ctx)
     row = {
         "n": result.n,
-        "u": _dec(result.u, ctx),
-        "v_u": _dec(result.v_u, ctx),
-        "cos_u": _dec(result.cos_u, ctx),
-        "P_x": _dec(result.P[0], ctx),
-        "P_y": _dec(result.P[1], ctx),
-        "P_prime_x": _dec(result.P_prime[0], ctx),
-        "P_prime_y": _dec(result.P_prime[1], ctx),
-        "arc_length": _dec(result.arc_length, ctx),
-        "residual": _dec(result.residual, ctx),
-        "arc_residual": _dec(result.arc_residual, ctx),
+        "u": to_decimal(result.u, ctx),
+        "v_u": to_decimal(result.v_u, ctx),
+        "cos_u": to_decimal(result.cos_u, ctx),
+        "P_x": to_decimal(result.P[0], ctx),
+        "P_y": to_decimal(result.P[1], ctx),
+        "P_prime_x": to_decimal(result.P_prime[0], ctx),
+        "P_prime_y": to_decimal(result.P_prime[1], ctx),
+        "arc_length": to_decimal(result.arc_length, ctx),
+        "residual": to_decimal(result.residual, ctx),
+        "arc_residual": to_decimal(result.arc_residual, ctx),
     }
     if ns.minpoly:
         def refine(c):
@@ -297,42 +282,40 @@ def _divide_cassini(ns, config, ctx):
     payload = {
         "command": "divide",
         "params": {"family": "cassini", "a": str(a), "n": ns.n},
-        "digits": config.digits,
+        "digits": ns.digits,
         "results": [row],
         "citations": [
             "I(u) = ((n-1)/n) I(pi/2) places points at angles u/2 and pi/2 - u/2",
             "shortest arc between them has length l(C_a)/(4n)",
         ],
     }
-    if config.svg_out:
+    if ns.svg_out:
         markers = [(float(result.P[0]), float(result.P[1]), "P"),
                    (float(result.P_prime[0]), float(result.P_prime[1]), "P'")]
         svg = render.emit_svg(render.trace_polar(Regular(a, 2), 720), markers,
                               render.RenderOptions())
-        with open(config.svg_out, "w") as fh:
+        with open(ns.svg_out, "w") as fh:
             fh.write(svg)
-    _emit(payload, config)
+    _emit(payload, ns.format)
     return 0
 
 
 def cmd_divide(ns) -> int:
-    config = _config(ns)
-    ctx = _context(config)
+    ctx = make_context(ns.digits)
     if ns.cassini is not None:
         if ns.parts is not None:
             raise ConfigurationError("--parts applies to leaf curves; use --n with --cassini")
-        return _divide_cassini(ns, config, ctx)
+        return _divide_cassini(ns, ctx)
     if ns.parts is None:
         raise ConfigurationError("--parts is required for leaf curves")
     curve = _curve_from_flags(ns)
     if not isinstance(curve, (Erdos, Sinusoidal)):
         raise ConfigurationError("divide needs --erdos, --sinusoidal or --cassini")
-    return _divide_leaf(ns, config, ctx, curve)
+    return _divide_leaf(ns, ctx, curve)
 
 
 def cmd_identities(ns) -> int:
-    config = _config(ns)
-    ctx = _context(config)
+    ctx = make_context(ns.digits)
     tol_exponent = ns.inject_tolerance_exponent
     reports = identities.run_all(ctx, tol_exponent)
     rows = []
@@ -340,22 +323,22 @@ def cmd_identities(ns) -> int:
         rows.append({
             "name": r.name,
             "grid_size": len(r.grid),
-            "max_residual": _dec(r.max_residual, ctx),
-            "tolerance": _dec(r.tolerance, ctx),
+            "max_residual": to_decimal(r.max_residual, ctx),
+            "tolerance": to_decimal(r.tolerance, ctx),
             "passed": r.passed,
         })
     all_passed = all(r.passed for r in reports)
     payload = {
         "command": "identities",
         "params": {},
-        "digits": config.digits,
+        "digits": ns.digits,
         "results": rows,
         "citations": ["see per-check docstrings for the identity statements"],
         "summary": {"passed": all_passed,
                     "checks": len(reports),
                     "failed": [r.name for r in reports if not r.passed]},
     }
-    _emit(payload, config)
+    _emit(payload, ns.format)
     return 0 if all_passed else 1
 
 
@@ -367,13 +350,13 @@ _NAMED_CONSTANTS = {
 }
 
 
-def _constant_from_spec(spec: str, base_ctx: PrecisionContext):
+def _constant_from_spec(spec: str):
     """Resolve 'divide:erdos3:l=2:i=1' or 'cassini:a=4/5:n=2' pipelines."""
     parts = spec.split(":")
     if parts[0] == "divide" and len(parts) == 4 and parts[1].startswith("erdos"):
-        n = int(parts[1][len("erdos"):])
+        n = _integer(parts[1][len("erdos"):])
         kv = _parse_kv(parts[2:], {"l", "i"})
-        l, i = int(kv["l"]), int(kv["i"])
+        l, i = _integer(kv["l"]), _integer(kv["i"])
         if not 0 <= i <= l:
             raise ConfigurationError(f"index i={i} outside 0..{l}")
 
@@ -383,7 +366,7 @@ def _constant_from_spec(spec: str, base_ctx: PrecisionContext):
         return refine, f"divide:erdos{n}:l={l}:i={i} (normalized radius s_i)"
     if parts[0] == "cassini" and len(parts) == 3:
         kv = _parse_kv(parts[1:], {"a", "n"})
-        a, n = _fraction(kv["a"]), int(kv["n"])
+        a, n = _fraction(kv["a"]), _integer(kv["n"])
 
         def refine(c):
             return division.divide_cassini(a, n, c).cos_u
@@ -393,7 +376,6 @@ def _constant_from_spec(spec: str, base_ctx: PrecisionContext):
 
 
 def cmd_minpoly(ns) -> int:
-    config = _config(ns)
     sources = [s for s in (ns.value, ns.const, ns.from_spec) if s is not None]
     if len(sources) != 1:
         raise ConfigurationError("give exactly one of: a literal, --const, --from")
@@ -401,7 +383,7 @@ def cmd_minpoly(ns) -> int:
         literal = ns.value.strip().rstrip("…").rstrip(".")
         mantissa = literal.split("e")[0].split("E")[0]
         sig = len(mantissa.replace("-", "").replace(".", "").lstrip("0"))
-        digits = max(15, min(config.digits, sig))
+        digits = max(15, min(ns.digits, sig))
         ctx = make_context(digits)
         alpha = from_decimal(literal, ctx)
         refine = None
@@ -410,7 +392,7 @@ def cmd_minpoly(ns) -> int:
         if ns.const not in _NAMED_CONSTANTS:
             raise ConfigurationError(
                 f"unknown constant {ns.const!r}; have {sorted(_NAMED_CONSTANTS)}")
-        ctx = _context(config)
+        ctx = make_context(ns.digits)
         fn = _NAMED_CONSTANTS[ns.const]
 
         def refine(c, fn=fn):
@@ -420,12 +402,12 @@ def cmd_minpoly(ns) -> int:
         alpha = refine(ctx)
         source = f"named constant {ns.const}"
     else:
-        ctx = _context(config)
-        refine, source = _constant_from_spec(ns.from_spec, ctx)
+        ctx = make_context(ns.digits)
+        refine, source = _constant_from_spec(ns.from_spec)
         alpha = refine(ctx)
 
     cand = algebra.minpoly(alpha, ns.max_degree, ns.max_height, ctx, refine=refine)
-    row = {"value": _dec(alpha, ctx), "source": source, "status": cand.status}
+    row = {"value": to_decimal(alpha, ctx), "source": source, "status": cand.status}
     row.update(_minpoly_columns(cand, ctx))
     payload = {
         "command": "minpoly",
@@ -434,17 +416,19 @@ def cmd_minpoly(ns) -> int:
         "results": [row],
         "citations": ["PSLQ integer relation on (1, x, ..., x^d), gamma = sqrt(4/3)"],
     }
-    _emit(payload, config)
+    _emit(payload, ns.format)
     return 0
 
 
 def cmd_plot(ns) -> int:
-    config = _config(ns)
     curve = _curve_from_flags(ns)
-    bbox = tuple(float(v) for v in ns.bbox.split(",")) if ns.bbox else None
     optkw = {"grid_resolution": ns.grid}
-    if bbox:
-        optkw["bbox"] = bbox
+    if ns.bbox:
+        try:
+            xmin, ymin, xmax, ymax = (float(v) for v in ns.bbox.split(","))
+        except ValueError as exc:
+            raise ConfigurationError(f"--bbox needs four numbers, got {ns.bbox!r}") from exc
+        optkw["bbox"] = (xmin, ymin, xmax, ymax)
     opts = render.RenderOptions(**optkw)
     if isinstance(curve, PolyLemniscate):
         polylines = render.trace_implicit(curve, opts)
@@ -458,7 +442,7 @@ def cmd_plot(ns) -> int:
         if ns.divide % per_leaf:
             raise ConfigurationError(
                 f"--divide must be a multiple of {per_leaf} for this curve")
-        ctx = _context(config)
+        ctx = make_context(ns.digits)
         points = division.divide_fundamental_arc(curve, ns.divide // per_leaf, ctx)
         expanded = division.expand_by_symmetry(curve, points)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
@@ -470,8 +454,10 @@ def cmd_plot(ns) -> int:
 
 
 def _add_common(sub, svg_out=False):
+    # argparse converts a string default with type=int, so a malformed
+    # SERRET_DIGITS is a usage error like a malformed --digits
     sub.add_argument("--digits", type=int,
-                     default=int(os.environ.get("SERRET_DIGITS", DEFAULT_DIGITS)),
+                     default=os.environ.get("SERRET_DIGITS", str(DEFAULT_DIGITS)),
                      help="decimal digits of working accuracy")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     if svg_out:

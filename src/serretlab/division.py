@@ -87,46 +87,55 @@ def subarc_length(curve, s_a, s_b, ctx: PrecisionContext) -> BigReal:
         return scale * tanh_sinh(f, sa, sb, ctx).value
 
 
-def _solve_fraction(twoq, frac: Fraction, total: BigReal, ctx: PrecisionContext) -> tuple:
-    """Solve F(s) = frac * total for s in (0, 1); returns (s, residual)."""
+def _solve_monotone(F, step, frac: Fraction, lower, total: BigReal,
+                    ctx: PrecisionContext) -> tuple:
+    """Solve F(x, ctx) = frac * total for x in (lower(ctx), 1); returns (x, residual).
+
+    F(x, c) is the increasing cumulative integral at context c, and
+    step(x, diff) the Newton step diff / F'(x).  Bisection at the coarse
+    context narrows the bracket to width 10^-(digits/2); Newton from its
+    midpoint restores full accuracy, and a step leaving the bracket is
+    replaced by bisection.  The bracket is widened by its width before
+    Newton starts, so a root that the coarse stage left exactly on a
+    bracket end still lies strictly inside.
+    """
     coarse = _coarse_context(ctx)
     with coarse.workdps():
-        total_c = normalized_arc_integral(twoq, 1, coarse)
-        target_c = as_real(frac, coarse) * total_c
-        lo, hi = mp.mpf(0), mp.mpf(1)
+        target_c = as_real(frac, coarse) * F(1, coarse)
+        lo, hi = lower(coarse), mp.mpf(1)
         width_goal = mp.mpf(10) ** (-(ctx.digits // 2))
         while hi - lo > width_goal:
             mid = (lo + hi) / 2
-            if normalized_arc_integral(twoq, mid, coarse) < target_c:
+            if F(mid, coarse) < target_c:
                 lo = mid
             else:
                 hi = mid
 
     with ctx.workdps(10):
-        twoq_f = as_real(twoq, ctx)
         target = as_real(frac, ctx) * total
         tol = mp.mpf(10) ** (-(ctx.digits + 3)) * max(mp.mpf(1), total)
         lo = as_real(lo, ctx)
         hi = as_real(hi, ctx)
-        s = (lo + hi) / 2
+        x = (lo + hi) / 2
+        lo = max(lower(ctx), lo - width_goal)
+        hi = min(mp.mpf(1), hi + width_goal)
         resid = None
         for _ in range(80):
-            diff = normalized_arc_integral(twoq, s, ctx) - target
+            diff = F(x, ctx) - target
             resid = abs(diff)
             if diff < 0:
-                lo = s
+                lo = x
             else:
-                hi = s
+                hi = x
             if resid <= tol:
-                return s, resid
-            step = diff * mp.sqrt(1 - mp.power(s, twoq_f))  # diff / F'(s)
-            s_new = s - step
-            if not lo < s_new < hi:
-                s_new = (lo + hi) / 2
-            s = s_new
+                return x, resid
+            x_new = x - step(x, diff)
+            if not lo < x_new < hi:
+                x_new = (lo + hi) / 2
+            x = x_new
         raise ConvergenceError(
             f"division solver stalled at fraction {frac}",
-            best=s, state={"bracket": (lo, hi), "residual": resid})
+            best=x, state={"bracket": (lo, hi), "residual": resid})
 
 
 def divide_fundamental_arc(curve, l: int, ctx: PrecisionContext) -> tuple:
@@ -149,6 +158,7 @@ def _divide_fundamental_arc_cached(curve, l: int, ctx: PrecisionContext) -> tupl
     twoq = exponent_2q(curve)
     with ctx.workdps(10):
         q = as_real(curve.q, ctx)
+        twoq_f = as_real(twoq, ctx)
         total = normalized_arc_integral(twoq, 1, ctx)
         scale = mp.power(2, 1 / q)
         out = []
@@ -158,7 +168,10 @@ def _divide_fundamental_arc_cached(curve, l: int, ctx: PrecisionContext) -> tupl
             elif i == l:
                 s, resid = mp.mpf(1), mp.mpf(0)
             else:
-                s, resid = _solve_fraction(twoq, Fraction(i, l), total, ctx)
+                s, resid = _solve_monotone(
+                    lambda x, c: normalized_arc_integral(twoq, x, c),
+                    lambda x, diff: diff * mp.sqrt(1 - mp.power(x, twoq_f)),
+                    Fraction(i, l), lambda c: mp.mpf(0), total, ctx)
             theta = mp.acos(mp.power(s, q)) / q if s > 0 else mp.pi / (2 * q)
             r = scale * s
             out.append(DivisionPoint(
@@ -232,56 +245,23 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
 @lru_cache(maxsize=None)
 def _divide_cassini_cached(a: Fraction, n: int, ctx: PrecisionContext) -> CassiniDivision:
     curve = Regular(a, 2)
+
+    def lower(c):
+        return mp.sqrt(1 - as_real(a, c) ** 4)
+
     with ctx.workdps(10):
         av = as_real(a, ctx)
-        c = 1 - av ** 4
-        vlo = mp.sqrt(c)
+        vlo = lower(ctx)
         total = cassini_reduced_integral(a, 1, ctx)
-        tol = mp.mpf(10) ** (-(ctx.digits + 3)) * max(mp.mpf(1), total)
-
         if n == 1:
-            v = vlo
-            resid = mp.mpf(0)
+            v, resid = vlo, mp.mpf(0)
         else:
-            frac = Fraction(n - 1, n)
-            coarse = _coarse_context(ctx)
-            with coarse.workdps():
-                total_c = cassini_reduced_integral(a, 1, coarse)
-                target_c = as_real(frac, coarse) * total_c
-                ac = as_real(a, coarse)
-                lo, hi = mp.sqrt(1 - ac ** 4), mp.mpf(1)
-                width_goal = mp.mpf(10) ** (-(ctx.digits // 2))
-                while hi - lo > width_goal:
-                    mid = (lo + hi) / 2
-                    if cassini_reduced_integral(a, mid, coarse) < target_c:
-                        lo = mid
-                    else:
-                        hi = mid
-            target = as_real(frac, ctx) * total
             b = (1 - av ** 4) / av ** 4
             pref = av ** 2 * mp.power(4 * b, mp.mpf(1) / 4)
-            lo = as_real(lo, ctx)
-            hi = as_real(hi, ctx)
-            v = (lo + hi) / 2
-            resid = None
-            for _ in range(80):
-                diff = cassini_reduced_integral(a, v, ctx) - target
-                resid = abs(diff)
-                if diff < 0:
-                    lo = v
-                else:
-                    hi = v
-                if resid <= tol:
-                    break
-                dJ = pref / mp.sqrt(v * (1 - v) * (v - vlo) * (v + vlo))
-                v_new = v - diff / dJ
-                if not lo < v_new < hi:
-                    v_new = (lo + hi) / 2
-                v = v_new
-            else:
-                raise ConvergenceError(
-                    f"Cassini division solver stalled (a={a}, n={n})",
-                    best=v, state={"bracket": (lo, hi), "residual": resid})
+            v, resid = _solve_monotone(
+                lambda x, c: cassini_reduced_integral(a, x, c),
+                lambda x, diff: diff / (pref / mp.sqrt(x * (1 - x) * (x - vlo) * (x + vlo))),
+                Fraction(n - 1, n), lower, total, ctx)
 
         cos_u = cos_u_of_v(v, a, ctx) if v > vlo else mp.mpf(1)
         cos_u = min(cos_u, mp.mpf(1))

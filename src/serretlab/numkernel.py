@@ -2,10 +2,9 @@
 
 Values are mpmath ``mpf`` numbers (arbitrary-precision binary floats,
 immutable); a :class:`PrecisionContext` fixes how many decimal digits a
-result must be good to, plus guard digits absorbed by intermediate
-rounding.  Every public operation in this package does its arithmetic
-inside ``ctx.workdps()`` so results carry ``digits + guard_digits``
-significant decimals and satisfy
+result must be good to.  Every public operation in this package does its
+arithmetic inside ``ctx.workdps()``, so results carry ``GUARD_DIGITS``
+more significant decimals, absorbed by intermediate rounding, and satisfy
 
     |computed - true| <= 10**(-digits) * max(1, |true|).
 """
@@ -23,51 +22,41 @@ BigReal = mpmath.mpf
 
 MIN_DIGITS = 15
 MAX_DIGITS = 1000
-MIN_GUARD = 5
-DEFAULT_GUARD = 15
+GUARD_DIGITS = 15
 
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Requested decimal accuracy plus internal guard digits.
+    """Requested decimal accuracy; arithmetic runs GUARD_DIGITS above it.
 
     Immutable and shareable; operations taking a context never mutate it.
     """
 
     digits: int
-    guard_digits: int = DEFAULT_GUARD
 
     def __post_init__(self):
         if not (MIN_DIGITS <= self.digits <= MAX_DIGITS):
             raise ConfigurationError(
                 f"digits must be in [{MIN_DIGITS}, {MAX_DIGITS}], got {self.digits}")
-        if self.guard_digits < MIN_GUARD:
-            raise ConfigurationError(
-                f"guard_digits must be >= {MIN_GUARD}, got {self.guard_digits}")
 
     @property
     def working_digits(self) -> int:
-        return self.digits + self.guard_digits
+        return self.digits + GUARD_DIGITS
 
     def workdps(self, extra: int = 0):
         """Context manager setting the ambient mpmath precision."""
         return mp.workdps(self.working_digits + extra)
 
-    def tol(self, offset: int = 0) -> BigReal:
-        """10**(-digits + offset), the tolerance scale of this context."""
-        with self.workdps():
-            return mp.mpf(10) ** (-self.digits + offset)
-
     def bumped(self, extra_digits: int) -> "PrecisionContext":
         """A context asking for ``extra_digits`` more decimal digits."""
-        return PrecisionContext(self.digits + extra_digits, self.guard_digits)
+        return PrecisionContext(self.digits + extra_digits)
 
 
-def make_context(digits: int, guard_digits: int = DEFAULT_GUARD) -> PrecisionContext:
+def make_context(digits: int) -> PrecisionContext:
     """Validate and build a :class:`PrecisionContext`."""
     if not isinstance(digits, int) or isinstance(digits, bool):
         raise ConfigurationError(f"digits must be an integer, got {digits!r}")
-    return PrecisionContext(digits, guard_digits)
+    return PrecisionContext(digits)
 
 
 def as_real(x, ctx: PrecisionContext) -> BigReal:

@@ -22,6 +22,7 @@ here never round an incoming mpf down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from mpmath import mp
@@ -31,10 +32,8 @@ from .numkernel import BigReal, PrecisionContext, as_real
 
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_ENDPOINT_EXPONENT = -0.5
-
-# (working_digits, clip_exponent, level) -> list of (offset, weight) for
-# t = j*h > 0, plus the t = 0 node stored at level 0 with offset 1.
-_node_cache: dict = {}
+# decimal places evaluated beyond the node cutoff 10**-clip_exponent
+_EVAL_MARGIN = 40
 
 
 def _clip_exponent(ctx: PrecisionContext, alpha: float) -> int:
@@ -54,21 +53,20 @@ def _clip_exponent(ctx: PrecisionContext, alpha: float) -> int:
 def _internal_dps(ctx: PrecisionContext, clip_exponent: int = None) -> int:
     if clip_exponent is None:
         clip_exponent = 2 * ctx.working_digits
-    return clip_exponent + 40
+    return clip_exponent + _EVAL_MARGIN
 
 
-def _nodes(ctx: PrecisionContext, clip_exponent: int, level: int):
+@lru_cache(maxsize=None)
+def _nodes(clip_exponent: int, level: int) -> tuple:
     """Positive-t nodes introduced at ``level`` (h = 2**-level).
 
     Level 0 holds all integer abscissas including t = 0; level k > 0
     holds the odd multiples of 2**-k.  Each entry is (delta, w) with
     delta the distance of the abscissa from +1 and w the pure transform
-    weight (pi/2) cosh(t) sech((pi/2) sinh t)**2, h excluded.
+    weight (pi/2) cosh(t) sech((pi/2) sinh t)**2, h excluded.  The
+    table depends on clip_exponent and level only, so it is cached on them.
     """
-    key = (ctx.working_digits, clip_exponent, level)
-    if key in _node_cache:
-        return _node_cache[key]
-    with mp.workdps(_internal_dps(ctx, clip_exponent)):
+    with mp.workdps(clip_exponent + _EVAL_MARGIN):
         clip = mp.mpf(10) ** (-clip_exponent)
         u_max = (clip_exponent * mp.log(10) + mp.log(2)) / 2
         t_max = mp.asinh(2 * u_max / mp.pi)
@@ -88,8 +86,7 @@ def _nodes(ctx: PrecisionContext, clip_exponent: int, level: int):
                 break
             w = half_pi * mp.cosh(t) * 4 * e / (1 + e) ** 2
             out.append((delta, w))
-    _node_cache[key] = out
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ def tanh_sinh(f: Callable[[BigReal], BigReal], a, b, ctx: PrecisionContext,
         value = prev = None
         err = None
         for level in range(0, max_level + 1):
-            for delta, w in _nodes(ctx, clip_exp, level):
+            for delta, w in _nodes(clip_exp, level):
                 total += w * eval_at(delta, True)
                 if delta != 1:  # t = 0 is its own mirror image
                     total += w * eval_at(delta, False)

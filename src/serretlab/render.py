@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import Erdos, PolyLemniscate, Regular, Sinusoidal
 from .errors import ConfigurationError, DomainError
 
@@ -158,6 +156,10 @@ def trace_implicit(poly: PolyLemniscate, opts: RenderOptions) -> list:
     Chains closing on themselves give closed polylines; chains ending on
     the bbox boundary stay open.  An empty intersection returns [].
     """
+    # numpy is imported here, not at module level: no other code needs
+    # it, and its import would be most of the CLI start-up time
+    import numpy as np
+
     if not isinstance(poly, PolyLemniscate):
         raise DomainError("trace_implicit needs a PolyLemniscate")
     g = opts.grid_resolution

@@ -13,8 +13,6 @@ texts; negative m is allowed and used by the transformation checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp
 
 from .errors import ConvergenceError, DomainError
@@ -68,17 +66,8 @@ def beta(a, b, ctx: PrecisionContext) -> BigReal:
         return gamma(a, ctx) * gamma(b, ctx) / gamma(a + b, ctx)
 
 
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Parameter m < 1 of K(m); negative values are legitimate."""
-
-    m: BigReal
-
-
 def ellip_k(m, ctx: PrecisionContext) -> BigReal:
     """K(m) = pi / (2 agm(1, sqrt(1 - m))) for m < 1."""
-    if isinstance(m, EllipticModulus):
-        m = m.m
     with ctx.workdps(10):
         m = as_real(m, ctx)
         if m >= 1:
@@ -88,20 +77,6 @@ def ellip_k(m, ctx: PrecisionContext) -> BigReal:
         while abs(a - b) > eps * a:
             a, b = (a + b) / 2, mp.sqrt(a * b)
         return mp.pi / (2 * a)
-
-
-@dataclass(frozen=True)
-class Hyp2F1Params:
-    """Arguments of 2F1(p, q, r; z) with real z <= 1.
-
-    r must not be zero or a negative integer; z = 1 additionally needs
-    r - p - q > 0 for the series to converge there.
-    """
-
-    p: BigReal
-    q: BigReal
-    r: BigReal
-    z: BigReal
 
 
 def _check_2f1_domain(p, q, r, z):
@@ -136,22 +111,17 @@ def _series_2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
                            f"(p={p}, q={q}, r={r}, z={z})")
 
 
-def hyp2f1(p, q=None, r=None, z=None, ctx: PrecisionContext = None) -> BigReal:
+def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
     """Gauss hypergeometric 2F1(p, q, r; z) for real arguments, z <= 1.
+
+    r must not be zero or a negative integer, and z = 1 needs
+    r - p - q > 0; other arguments raise :class:`DomainError`.
 
     Routing: z = 1 by Gauss summation; z in [0, 1) by the power series;
     z < 0 by one Pfaff transformation
     2F1(p,q,r;z) = (1-z)^-p 2F1(p, r-q, r; z/(z-1)) followed by the
     series (the Pfaff image of a negative argument lies in (0, 1)).
-
-    Accepts either a :class:`Hyp2F1Params` plus ctx, or the four
-    scalars plus ctx.
     """
-    if isinstance(p, Hyp2F1Params):
-        ctx = q if ctx is None else ctx
-        p, q, r, z = p.p, p.q, p.r, p.z
-    if ctx is None:
-        raise TypeError("hyp2f1 needs a PrecisionContext")
     with ctx.workdps(10):
         p = as_real(p, ctx)
         q = as_real(q, ctx)

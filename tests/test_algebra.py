@@ -1,7 +1,8 @@
 import pytest
 from mpmath import mp
 
-from serretlab.algebra import DegreeBoundRecord, documented_degree_bound, minpoly, pslq
+from serretlab.algebra import (RAY_CLASS_DEGREE_CAP, DegreeBoundRecord, documented_degree_bound,
+                              minpoly, pslq)
 from serretlab.curves import Erdos, Sinusoidal
 from serretlab.division import divide_fundamental_arc
 from serretlab.errors import ConfigurationError, DomainError, SpuriousRelationError
@@ -19,6 +20,12 @@ class TestPslq:
         assert rel is not None and any(rel)
         assert _kills(rel, [mp.mpf(1), mp.mpf(3)], mp.mpf(10) ** -40)
         assert sorted(abs(v) for v in rel) == [1, 3]
+        # y entries collapse together here, and the relation sits outside
+        # the column of the smallest one
+        for k in (3, 5):
+            xs = [mp.mpf(1), mp.mpf(1) / k]
+            rel = pslq(xs, 100, ctx50)
+            assert rel is not None and sorted(abs(v) for v in rel) == [1, k]
 
     def test_golden_ratio(self, ctx50):
         phi = (1 + mp.sqrt(5)) / 2
@@ -67,10 +74,11 @@ class TestPslq:
 
 class TestMinpoly:
     def test_rational_recognition(self, ctx50):
-        cand = minpoly(mp.mpf(3) / 7, 4, 1000, ctx50)
-        assert cand.status == "found"
-        assert cand.coeffs == (-3, 7)
-        assert cand.degree == 1 and cand.height == 7
+        for num, den in ((3, 7), (1, 3), (1, 5)):
+            cand = minpoly(mp.mpf(num) / den, 4, 1000, ctx50)
+            assert cand.status == "found"
+            assert cand.coeffs == (-num, den)
+            assert cand.degree == 1 and cand.height == den
 
     def test_sqrt2_over_2(self, ctx50):
         cand = minpoly(mp.sqrt(2) / 2, 4, 1000, ctx50)
@@ -151,8 +159,9 @@ class TestDegreeBound:
 
     def test_lemniscate_and_kiepert_caps(self):
         assert documented_degree_bound(Erdos(2), 3).degree_cap == 16
-        rec = documented_degree_bound(Erdos(3), 2, default_cap=12)
-        assert rec.degree_cap == 12
+        rec = documented_degree_bound(Erdos(3), 2)
+        assert rec.degree_cap == RAY_CLASS_DEGREE_CAP
+        assert f"configured cap {RAY_CLASS_DEGREE_CAP}" in rec.field_statement
         assert "degree at most 2" in rec.field_statement
 
     def test_unsupported(self):

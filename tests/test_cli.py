@@ -1,8 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from mpmath import mp
 
 from serretlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+# README commands whose JSON output is pinned byte for byte
+GOLDEN_COMMANDS = {
+    "length_erdos1": ["length", "--erdos", "1"],
+    "length_sinusoidal_1_2": ["length", "--sinusoidal", "1/2"],
+    "length_regular_a0.8_k2": ["length", "--regular", "a=0.8", "k=2"],
+    "divide_erdos3_parts2_d30": ["divide", "--erdos", "3", "--parts", "2", "--digits", "30"],
+    "divide_cassini_a4_5_n2_d30": ["divide", "--cassini", "a=4/5", "--n", "2", "--digits", "30"],
+    "identities_d30": ["identities", "--digits", "30"],
+    "minpoly_sqrt2_over_2": ["minpoly", "0.70710678118654752440084436210484903928483593768847"],
+    "minpoly_const_pi_deg6": ["minpoly", "--const", "pi", "--max-degree", "6"],
+}
 
 PI_LITERAL = "3.14159265358979323846264338327950288419716939937510582097494"
 SQRT2_OVER_2 = "0.70710678118654752440084436210484903928483593768847403658833987"
@@ -62,12 +80,17 @@ class TestLength:
         header = out.splitlines()[0]
         assert header.split(",") == ["closed_form", "quadrature", "residual"]
 
-    def test_usage_errors(self, capsys):
+    def test_usage_errors(self, capsys, monkeypatch):
         assert run(capsys, "length")[0] == 2                      # no curve
         assert run(capsys, "length", "--erdos", "1", "--sinusoidal", "1/2")[0] == 2
         assert run(capsys, "length", "--sinusoidal", "x/y")[0] == 2
         assert run(capsys, "length", "--regular", "a=1", "k=2")[0] == 2
+        assert run(capsys, "length", "--regular", "a=1/2", "k=x")[0] == 2
+        assert run(capsys, "length", "--regular", "a=1/2", "a=2")[0] == 2
+        assert run(capsys, "length", "--cassini", "a=1")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
+        monkeypatch.setenv("SERRET_DIGITS", "abc")
+        assert run(capsys, "length", "--erdos", "1")[0] == 2
 
 
 class TestDivide:
@@ -111,6 +134,8 @@ class TestDivide:
     def test_numeric_error_exit_code(self, capsys):
         code, _, err = run(capsys, "divide", "--cassini", "a=3/2", "--n", "1")
         assert code == 3
+        assert run(capsys, "divide", "--cassini", "a=1", "--n", "2")[0] == 3
+        assert run(capsys, "divide", "--cassini", "a=0", "--n", "2")[0] == 3
 
 
 class TestIdentities:
@@ -158,6 +183,8 @@ class TestMinpoly:
         assert run(capsys, "minpoly", "0.5", "--const", "pi")[0] == 2
         assert run(capsys, "minpoly", "--const", "zeta3")[0] == 2
         assert run(capsys, "minpoly", "--from", "bogus:spec")[0] == 2
+        assert run(capsys, "minpoly", "--from", "divide:erdosX:l=2:i=1")[0] == 2
+        assert run(capsys, "minpoly", "--from", "cassini:a=4/5:a=3")[0] == 2
 
 
 class TestPlot:
@@ -185,6 +212,11 @@ class TestPlot:
         code, _, _ = run(capsys, "plot", "--erdos", "3", "--divide", "10",
                          "--out", str(tmp_path / "x.svg"))
         assert code == 2
+        # malformed numbers are usage errors too
+        out = str(tmp_path / "f.svg")
+        assert run(capsys, "plot", "--erdos", "2", "--bbox", "1,2,x,4", "--out", out)[0] == 2
+        assert run(capsys, "plot", "--erdos", "2", "--bbox", "1,2,4", "--out", out)[0] == 2
+        assert run(capsys, "plot", "--poly", "1:x,0", "--out", out)[0] == 2
 
     def test_io_error_exit_code(self, capsys):
         code, _, _ = run(capsys, "plot", "--erdos", "1",
@@ -211,3 +243,21 @@ class TestEnvironment:
         monkeypatch.setenv("SERRET_DIGITS", "30")
         doc = run_json(capsys, "length", "--erdos", "1", "--digits", "25")
         assert doc["digits"] == 25
+
+    def test_import_leaves_numpy_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, serretlab.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_json_bytes(self, capsys, monkeypatch, name):
+        monkeypatch.delenv("SERRET_DIGITS", raising=False)
+        code, out, err = run(capsys, *GOLDEN_COMMANDS[name])
+        assert code == 0, err
+        assert out == (GOLDEN / f"{name}.json").read_text()

@@ -19,6 +19,12 @@ class TestDivideFundamentalArc:
         assert abs(pts[1].s - mp.mpf(SQRT2_OVER_2)) < mp.mpf(10) ** -49
         assert pts[1].residual < mp.mpf(10) ** -45
 
+    def test_root_on_coarse_bisection_midpoint(self):
+        # arcsin(s_1) = pi/6 puts s_1 = 1/2 exactly on the first coarse
+        # bisection midpoint, so the coarse bracket ends at the root
+        pts = divide_fundamental_arc(Erdos(1), 3, make_context(80))
+        assert abs(pts[1].s - mp.mpf(1) / 2) < mp.mpf(10) ** -80
+
     def test_degenerate_division(self, ctx50):
         pts = divide_fundamental_arc(Erdos(2), 1, ctx50)
         assert [p.s for p in pts] == [0, 1]

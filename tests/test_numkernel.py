@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from serretlab.errors import ConfigurationError, DomainError
-from serretlab.numkernel import (ELEMENTARY_OPS, elementary, from_decimal, make_context,
-                                 pi, to_decimal)
+from serretlab.numkernel import (ELEMENTARY_OPS, GUARD_DIGITS, elementary, from_decimal,
+                                 make_context, pi, to_decimal)
 
 SQRT2_50 = "1.4142135623730950488016887242096980785696718753769"
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -17,7 +17,7 @@ class TestMakeContext:
     def test_echoes_input(self):
         ctx = make_context(50)
         assert ctx.digits == 50
-        assert ctx.guard_digits == 15
+        assert ctx.working_digits == 50 + GUARD_DIGITS
 
     def test_boundary_accepted(self):
         assert make_context(15).digits == 15
@@ -31,10 +31,6 @@ class TestMakeContext:
     def test_non_integer(self):
         with pytest.raises(ConfigurationError):
             make_context(50.0)
-
-    def test_guard_floor(self):
-        with pytest.raises(ConfigurationError):
-            make_context(50, guard_digits=3)
 
 
 def _newton_sqrt2(digits):

@@ -5,8 +5,7 @@ from mpmath import mp
 from serretlab.errors import DomainError
 from serretlab.numkernel import to_decimal
 from serretlab.quadrature import tanh_sinh
-from serretlab.specfun import (EllipticModulus, Hyp2F1Params, beta, ellip_k, gamma,
-                               gauss_value_at_1, hyp2f1)
+from serretlab.specfun import beta, ellip_k, gamma, gauss_value_at_1, hyp2f1
 
 GAMMA_QUARTER_50 = "3.6256099082219083119306851558676720029951676828801"
 K_HALF_50 = "1.8540746773013719184338503471952600462175988235218"
@@ -73,8 +72,8 @@ class TestEllipK:
         rhs = ellip_k(s / (s - 1), ctx50) / mp.sqrt(1 - s)
         assert abs(lhs - rhs) < mp.mpf(10) ** -48
 
-    def test_modulus_wrapper_and_domain(self, ctx50):
-        assert ellip_k(EllipticModulus(mp.mpf("-1")), ctx50) > 0
+    def test_negative_parameter_and_domain(self, ctx50):
+        assert ellip_k(-1, ctx50) > 0
         with pytest.raises(DomainError):
             ellip_k(1, ctx50)
         with pytest.raises(DomainError):
@@ -95,12 +94,6 @@ class TestHyp2F1:
         lhs = hyp2f1(q, q, 1, 1, ctx50)
         rhs = gauss_value_at_1(q, q, mp.mpf(1), ctx50)
         assert lhs == rhs
-
-    def test_params_object(self, ctx50):
-        params = Hyp2F1Params(mp.mpf(1) / 4, mp.mpf(1) / 2, mp.mpf(3) / 2, mp.mpf("0.4"))
-        a = hyp2f1(params, ctx50)
-        b = hyp2f1(params.p, params.q, params.r, params.z, ctx50)
-        assert a == b
 
     def test_against_mpmath(self, ctx50):
         with mp.workdps(80):
