@@ -18,6 +18,6 @@ from .numkernel import (BigReal, PrecisionContext, elementary, from_decimal,
                         make_context, pi, to_decimal)
 from .quadrature import QuadratureResult, beta_integral_check, tanh_sinh
 from .render import Polyline, RenderOptions, emit_svg, mandelbrot_coeffs, trace_implicit, trace_polar
-from .specfun import beta, ellip_k, gamma, gauss_value_at_1, hyp2f1
+from .specfun import beta, carlson_rf, ellip_k, gamma, gauss_value_at_1, hyp2f1
 
 __version__ = "0.1.0"

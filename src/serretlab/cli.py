@@ -472,7 +472,7 @@ def _add_curve_flags(sub, with_poly=False):
     if with_poly:
         sub.add_argument("--poly", metavar="C_high,...,C_low",
                          help="polynomial coefficients, highest degree first")
-        sub.add_argument("--mandelbrot-level", type=int, metavar="L")
+        sub.add_argument("--mandelbrot-level", type=int, metavar="L", help="0 to 9")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,7 @@ from mpmath import mp
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
 from .quadrature import _clip_exponent, _internal_dps, tanh_sinh
-from .specfun import beta, ellip_k, hyp2f1
+from .specfun import beta, carlson_rf, ellip_k, hyp2f1
 
 
 def _as_fraction(x) -> Fraction:
@@ -189,7 +189,13 @@ def polar_radius(curve, theta, ctx: PrecisionContext, branch: str = "outer") -> 
 
 
 def normalized_arc_integral(exponent_2q, s_end, ctx: PrecisionContext) -> BigReal:
-    """F(s_end) = int_0^{s_end} ds / sqrt(1 - s^(2q)); increasing in s_end."""
+    """F(s_end) = int_0^{s_end} ds / sqrt(1 - s^(2q)); increasing in s_end.
+
+    The incomplete Beta function (1/2q) B(z; 1/(2q), 1/2), z = s^(2q), w = 1 - z,
+    with a 2F1 series argument never above 1/2 (DLMF 8.17.7 and 8.17.4):
+    F(s) = s 2F1(1/2, 1/(2q); 1 + 1/(2q); z) for z <= 1/2, else
+    F(s) = F(1) - (2 sqrt(w)/2q) 2F1(1/2, 1 - 1/(2q); 3/2; w), F(1) = B(1/2, 1/(2q))/(2q).
+    """
     with ctx.workdps():
         twoq = as_real(exponent_2q, ctx)
         s_end = as_real(s_end, ctx)
@@ -199,11 +205,14 @@ def normalized_arc_integral(exponent_2q, s_end, ctx: PrecisionContext) -> BigRea
             raise DomainError(f"need 0 <= s_end <= 1, got {s_end}")
         if s_end == 0:
             return mp.mpf(0)
-
-        def f(s):
-            return 1 / mp.sqrt(1 - mp.power(s, twoq))
-
-        return tanh_sinh(f, 0, s_end, ctx).value
+        a = 1 / twoq
+        half = mp.mpf(1) / 2
+        z = mp.power(s_end, twoq)
+        if z <= half:
+            return s_end * hyp2f1(half, a, 1 + a, z, ctx)
+        # 1 - s^(2q) without cancellation as s -> 1
+        w = -mp.expm1(twoq * mp.log(s_end))
+        return a * (beta(half, a, ctx) - 2 * mp.sqrt(w) * hyp2f1(half, 1 - a, 3 * half, w, ctx))
 
 
 def _closed_regular_lt1(a: Fraction, k: int, ctx: PrecisionContext) -> BigReal:
@@ -370,10 +379,13 @@ def cassini_b(a, ctx: PrecisionContext) -> BigReal:
 def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
     """I-value a^2 (4b)^(1/4) int_{sqrt(1-a^4)}^{v} dv / sqrt(v(1-v)(v^2-(1-a^4))).
 
-    0 < a < 1, sqrt(1-a^4) <= v_upper <= 1.  Both endpoints of the full
-    integral are algebraic singularities of exponent -1/2.
+    0 < a < 1, sqrt(1-a^4) <= v_upper <= 1.  The quartic's roots are
+    -v0, 0, v0 = sqrt(1-a^4), 1 and the lower limit sits on v0, so
+    Carlson's reduction (DLMF 19.29.4) gives 2 R_F(U12^2, U13^2, U14^2),
+    U12 = Y1 Y2 X3 X4/d, U13 = X1 X3 Y2 Y4/d, U14 = Y1 Y4 X2 X3/d, with
+    d = v - v0 and X_i, Y_i the roots of v + v0, v, v - v0, 1 - v at v, v0.
     """
-    with mp.workdps(_internal_dps(ctx)):
+    with ctx.workdps(10):
         av = as_real(a, ctx)
         if not 0 < av < 1:
             raise DomainError(f"need 0 < a < 1, got {av}")
@@ -388,17 +400,13 @@ def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
         # lower limit the u -> v map is quadratically degenerate, so an
         # interval thinner than the caller's resolution is empty by
         # construction (its true value is itself below sqrt-resolution)
-        if vu - vlo <= mp.mpf(10) ** (-(ctx.working_digits - 5)):
+        d = vu - vlo
+        if d <= mp.mpf(10) ** (-(ctx.working_digits - 5)):
             return mp.mpf(0)
-        b = (1 - av ** 4) / av ** 4
-        pref = av ** 2 * mp.power(4 * b, mp.mpf(1) / 4)
-
-        def f(v):
-            # factored v^2 - c = (v - vlo)(v + vlo): near the singular
-            # lower endpoint the difference is formed before squaring
-            return 1 / mp.sqrt(v * (1 - v) * (v - vlo) * (v + vlo))
-
-        return pref * tanh_sinh(f, vlo, vu, ctx).value
+        pref = av ** 2 * mp.power(4 * c / av ** 4, mp.mpf(1) / 4)
+        # the squares, with X3^2 = d cancelled once
+        return 2 * pref * carlson_rf(2 * vlo * vlo * (1 - vu) / d, vlo * (1 - vlo) * (vu + vlo) / d,
+                                     2 * vlo * (1 - vlo) * vu / d, ctx)
 
 
 def v_of_u(u, a, ctx: PrecisionContext) -> BigReal:

@@ -5,17 +5,16 @@ the fundamental half-leaf, in the normalized radius s = r 2^(-1/q), is
 
     F(s) = int_0^s dt / sqrt(1 - t^(2q)),
 
-strictly increasing with known derivative, so each division radius s_i
-with F(s_i) = (i/l) F(1) is found by bracketing bisection followed by
-bracket-damped Newton steps (the derivative blows up like an inverse
-square root at s = 1, so steps falling outside the bracket are replaced
-by bisection).  Bisection runs at roughly half the requested digits;
-Newton restores full accuracy in a handful of quadratures.
+an incomplete Beta function in closed form, strictly increasing with
+known derivative, so each division radius s_i with F(s_i) = (i/l) F(1)
+is found by Newton's method from s = i/l in a few F evaluations (the
+derivative blows up like an inverse square root at s = 1, so steps
+falling outside the bracket of residual signs are replaced by bisection).
 
 Cassini division solves, in the reduced variable v, the condition that
-the cumulative reduced integral reaches (n-1)/n of its total; the two
-resulting points at angles u/2 and pi/2 - u/2 bound the shortest arc of
-length l(C_a)/(4n).
+the cumulative reduced integral (one Carlson R_F) reaches (n-1)/n of
+its total; the two resulting points at angles u/2 and pi/2 - u/2 bound
+the shortest arc of length l(C_a)/(4n).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
                      cos_u_of_v, exponent_2q, normalized_arc_integral,
                      polar_arc_length, polar_radius, total_length_closed)
 from .errors import ConfigurationError, ConvergenceError, DomainError, InternalConsistencyError
-from .numkernel import BigReal, PrecisionContext, as_real, make_context
+from .numkernel import BigReal, PrecisionContext, as_real
 from .quadrature import _internal_dps, tanh_sinh
 
 
@@ -59,10 +58,6 @@ class CassiniDivision:
     arc_residual: BigReal   # |arc_length - l(C_a)/(4n)|
 
 
-def _coarse_context(ctx: PrecisionContext) -> PrecisionContext:
-    return make_context(max(15, ctx.digits // 2 + 5))
-
-
 def subarc_length(curve, s_a, s_b, ctx: PrecisionContext) -> BigReal:
     """Arc length between normalized radii s_a <= s_b, by fresh quadrature.
 
@@ -89,39 +84,20 @@ def subarc_length(curve, s_a, s_b, ctx: PrecisionContext) -> BigReal:
 
 def _solve_monotone(F, step, frac: Fraction, lower, total: BigReal,
                     ctx: PrecisionContext) -> tuple:
-    """Solve F(x, ctx) = frac * total for x in (lower(ctx), 1); returns (x, residual).
+    """Solve F(x) = frac * total for x in (lower, 1); returns (x, residual).
 
-    F(x, c) is the increasing cumulative integral at context c, and
-    step(x, diff) the Newton step diff / F'(x).  Bisection at the coarse
-    context narrows the bracket to width 10^-(digits/2); Newton from its
-    midpoint restores full accuracy, and a step leaving the bracket is
-    replaced by bisection.  The bracket is widened by its width before
-    Newton starts, so a root that the coarse stage left exactly on a
-    bracket end still lies strictly inside.
+    F is the increasing cumulative integral, and step(x, diff) the
+    Newton step diff / F'(x).  Newton starts from lower + frac (1 - lower)
+    and narrows the bracket [lower, 1] by the sign of each residual; a
+    step leaving the bracket is replaced by bisection.
     """
-    coarse = _coarse_context(ctx)
-    with coarse.workdps():
-        target_c = as_real(frac, coarse) * F(1, coarse)
-        lo, hi = lower(coarse), mp.mpf(1)
-        width_goal = mp.mpf(10) ** (-(ctx.digits // 2))
-        while hi - lo > width_goal:
-            mid = (lo + hi) / 2
-            if F(mid, coarse) < target_c:
-                lo = mid
-            else:
-                hi = mid
-
     with ctx.workdps(10):
         target = as_real(frac, ctx) * total
         tol = mp.mpf(10) ** (-(ctx.digits + 3)) * max(mp.mpf(1), total)
-        lo = as_real(lo, ctx)
-        hi = as_real(hi, ctx)
-        x = (lo + hi) / 2
-        lo = max(lower(ctx), lo - width_goal)
-        hi = min(mp.mpf(1), hi + width_goal)
-        resid = None
+        lo, hi = lower, mp.mpf(1)
+        x = lo + as_real(frac, ctx) * (hi - lo)
         for _ in range(80):
-            diff = F(x, ctx) - target
+            diff = F(x) - target
             resid = abs(diff)
             if diff < 0:
                 lo = x
@@ -130,9 +106,7 @@ def _solve_monotone(F, step, frac: Fraction, lower, total: BigReal,
             if resid <= tol:
                 return x, resid
             x_new = x - step(x, diff)
-            if not lo < x_new < hi:
-                x_new = (lo + hi) / 2
-            x = x_new
+            x = x_new if lo < x_new < hi else (lo + hi) / 2
         raise ConvergenceError(
             f"division solver stalled at fraction {frac}",
             best=x, state={"bracket": (lo, hi), "residual": resid})
@@ -144,17 +118,12 @@ def divide_fundamental_arc(curve, l: int, ctx: PrecisionContext) -> tuple:
     F(s_i) = (i/l) F(1); angles follow from the polar equation:
     r = 2^(1/q) s lies on r^q = 2 cos(q theta) iff cos(q theta) = s^q,
     so theta = arccos(s^q)/q, running from the leaf edge pi/(2q) at the
-    origin down to 0 at the tip.  Results are cached per (curve, l, ctx).
+    origin down to 0 at the tip.
     """
     if not isinstance(curve, (Erdos, Sinusoidal)):
         raise DomainError("divide_fundamental_arc needs an Erdos or Sinusoidal curve")
     if not isinstance(l, int) or l < 1:
         raise ConfigurationError(f"need integer l >= 1, got {l!r}")
-    return _divide_fundamental_arc_cached(curve, l, ctx)
-
-
-@lru_cache(maxsize=None)
-def _divide_fundamental_arc_cached(curve, l: int, ctx: PrecisionContext) -> tuple:
     twoq = exponent_2q(curve)
     with ctx.workdps(10):
         q = as_real(curve.q, ctx)
@@ -169,9 +138,9 @@ def _divide_fundamental_arc_cached(curve, l: int, ctx: PrecisionContext) -> tupl
                 s, resid = mp.mpf(1), mp.mpf(0)
             else:
                 s, resid = _solve_monotone(
-                    lambda x, c: normalized_arc_integral(twoq, x, c),
+                    lambda x: normalized_arc_integral(twoq, x, ctx),
                     lambda x, diff: diff * mp.sqrt(1 - mp.power(x, twoq_f)),
-                    Fraction(i, l), lambda c: mp.mpf(0), total, ctx)
+                    Fraction(i, l), mp.mpf(0), total, ctx)
             theta = mp.acos(mp.power(s, q)) / q if s > 0 else mp.pi / (2 * q)
             r = scale * s
             out.append(DivisionPoint(
@@ -229,10 +198,9 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
     """Two algebraic points on C_a whose shortest arc is l(C_a)/(4n).
 
     Solves I(u) = ((n-1)/n) I(pi/2) through the reduced v-integral
-    (bisection at coarse precision, then Newton with the closed-form
-    derivative of the v-integral), then places the points at angles
-    u/2 and pi/2 - u/2 and re-integrates the polar arc between them as
-    an independent check.
+    (Newton with the closed-form derivative of the v-integral), then
+    places the points at angles u/2 and pi/2 - u/2 and re-integrates
+    the polar arc between them as an independent check.
     """
     if not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"need integer n >= 1, got {n!r}")
@@ -245,23 +213,16 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
 @lru_cache(maxsize=None)
 def _divide_cassini_cached(a: Fraction, n: int, ctx: PrecisionContext) -> CassiniDivision:
     curve = Regular(a, 2)
-
-    def lower(c):
-        return mp.sqrt(1 - as_real(a, c) ** 4)
-
     with ctx.workdps(10):
         av = as_real(a, ctx)
-        vlo = lower(ctx)
+        vlo = mp.sqrt(1 - av ** 4)
         total = cassini_reduced_integral(a, 1, ctx)
-        if n == 1:
-            v, resid = vlo, mp.mpf(0)
-        else:
-            b = (1 - av ** 4) / av ** 4
-            pref = av ** 2 * mp.power(4 * b, mp.mpf(1) / 4)
-            v, resid = _solve_monotone(
-                lambda x, c: cassini_reduced_integral(a, x, c),
-                lambda x, diff: diff / (pref / mp.sqrt(x * (1 - x) * (x - vlo) * (x + vlo))),
-                Fraction(n - 1, n), lower, total, ctx)
+        pref = av ** 2 * mp.power(4 * (1 - av ** 4) / av ** 4, mp.mpf(1) / 4)
+        # n = 1 starts on the root v = vlo, where F = 0 = target
+        v, resid = _solve_monotone(
+            lambda x: cassini_reduced_integral(a, x, ctx),
+            lambda x, diff: diff / (pref / mp.sqrt(x * (1 - x) * (x - vlo) * (x + vlo))),
+            Fraction(n - 1, n), vlo, total, ctx)
 
         cos_u = cos_u_of_v(v, a, ctx) if v > vlo else mp.mpf(1)
         cos_u = min(cos_u, mp.mpf(1))

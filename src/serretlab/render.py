@@ -120,8 +120,9 @@ def trace_polar(curve, samples: int = 360) -> list:
 
 def mandelbrot_coeffs(level: int) -> tuple:
     """Ascending coefficients of P_level, where P_0 = T, P_{n+1} = P_n^2 + T."""
-    if level < 0:
-        raise ConfigurationError("level must be >= 0")
+    # degree 2^level: above 9 the float tracer overflows, squaring costs O(4^level)
+    if not 0 <= level <= 9:
+        raise ConfigurationError(f"level must be in [0, 9], got {level}")
     coeffs = [0, 1]
     for _ in range(level):
         sq = [0] * (2 * len(coeffs) - 1)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,21 @@ class TestPlot:
         code, _, _ = run(capsys, "plot", "--mandelbrot-level", "3",
                          "--out", str(target), "--grid", "128")
         assert code == 0
+
+    def test_mandelbrot_level_bound(self, capsys, tmp_path):
+        target = tmp_path / "m9.svg"
+        code, _, _ = run(capsys, "plot", "--mandelbrot-level", "9",
+                         "--out", str(target), "--grid", "64")
+        assert code == 0 and "<svg" in target.read_text()
+        # degree 2^L: above level 9 the squaring and the float tracer
+        # blow up, so the level is a usage error raised before any work
+        for level in ("10", "40"):
+            start = time.monotonic()
+            code, _, _ = run(capsys, "plot", "--mandelbrot-level", level,
+                             "--out", str(tmp_path / "big.svg"), "--grid", "64")
+            assert code == 2
+            assert time.monotonic() - start < 1
+            assert not (tmp_path / "big.svg").exists()
 
     def test_divide_must_fit_symmetry(self, capsys, tmp_path):
         code, _, _ = run(capsys, "plot", "--erdos", "3", "--divide", "10",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp
 
@@ -7,7 +8,10 @@ from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
                               cassini_reduced_integral, cos_u_of_v, exponent_2q,
                               normalized_arc_integral, polar_arc_length, polar_radius,
                               total_length_closed, total_length_quadrature, v_of_u)
+from serretlab.division import subarc_length
 from serretlab.errors import ConfigurationError, DomainError
+from serretlab.numkernel import make_context
+from serretlab.quadrature import _internal_dps, tanh_sinh
 from serretlab.specfun import beta, hyp2f1
 
 L_C2_60 = "7.41629870920548767373540138878104018487039529408706762231"
@@ -100,6 +104,24 @@ class TestNormalizedArcIntegral:
         vals = [normalized_arc_integral(Fraction(1, 2), s, ctx50) for s in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    # 2q = 2/3, 1, 2, 4, 6, 11, 32/3
+    @pytest.mark.parametrize("curve", [
+        Sinusoidal(1, 3), Sinusoidal(1, 2), Erdos(1), Erdos(2), Erdos(3),
+        Sinusoidal(11, 2), Sinusoidal(16, 3)])
+    @pytest.mark.parametrize("digits", [50, 200])
+    def test_matches_subarc_quadrature(self, curve, digits):
+        # closed form against a fresh quadrature of the arc, on both
+        # sides of the series switch at s^(2q) = 1/2 and next to s = 1
+        ctx = make_context(digits)
+        twoq = exponent_2q(curve)
+        inv = mp.mpf(twoq.denominator) / twoq.numerator
+        scale = mp.power(2, -2 * inv)  # 2^(-1/q)
+        for s in (mp.power(mp.mpf(1) / 4, inv), mp.power(mp.mpf(3) / 4, inv),
+                  1 - mp.mpf(10) ** -8, mp.mpf(1)):
+            got = normalized_arc_integral(twoq, s, ctx)
+            want = subarc_length(curve, 0, s, ctx) * scale
+            assert abs(got - want) <= mp.mpf(10) ** -digits * max(1, want)
+
 
 class TestTotalLengths:
     def test_circle(self, ctx50):
@@ -163,6 +185,27 @@ class TestTotalLengths:
             total_length_quadrature(PolyLemniscate((0, 1)), ctx50)
 
 
+def _reduced_quadrature(v0, v, ctx):
+    """int_{v0}^{v} dt / sqrt(t (1-t) (t-v0) (t+v0)) by tanh-sinh."""
+    with mp.workdps(_internal_dps(ctx)):
+        # factored t^2 - v0^2: near the singular lower endpoint the
+        # difference is formed before multiplying
+        def f(t):
+            return 1 / mp.sqrt(t * (1 - t) * (t - v0) * (t + v0))
+
+        return tanh_sinh(f, v0, v, ctx).value
+
+
+def _reduced_elliprf(v0, v):
+    """The same integral by DLMF 19.29.4 with the lower limit on the root v0."""
+    with mp.workdps(mp.dps + 40):
+        y1, y2, y4 = mp.sqrt(2 * v0), mp.sqrt(v0), mp.sqrt(1 - v0)
+        x1, x2, x3, x4 = mp.sqrt(v + v0), mp.sqrt(v), mp.sqrt(v - v0), mp.sqrt(1 - v)
+        d = v - v0
+        return 2 * mpmath.elliprf((y1 * y2 * x3 * x4 / d) ** 2, (x1 * x3 * y2 * y4 / d) ** 2,
+                                  (y1 * y4 * x2 * x3 / d) ** 2)
+
+
 class TestCassiniPieces:
     A = Fraction(4, 5)
 
@@ -180,6 +223,19 @@ class TestCassiniPieces:
         partial = cassini_reduced_integral(self.A, mp.mpf("0.9"), ctx50)
         total = cassini_reduced_integral(self.A, 1, ctx50)
         assert 0 < partial < total
+
+    @pytest.mark.parametrize("a", [Fraction(1, 10), Fraction(1, 5), Fraction(4, 5),
+                                   Fraction(9, 10), Fraction(99, 100)])
+    def test_against_quadrature_and_mpmath(self, ctx50, a):
+        av = mp.mpf(a.numerator) / a.denominator
+        v0 = mp.sqrt(1 - av ** 4)
+        pref = av ** 2 * mp.power(4 * (1 - av ** 4) / av ** 4, mp.mpf(1) / 4)
+        tol = mp.mpf(10) ** -50
+        for t in (mp.mpf(10) ** -6, mp.mpf(1) / 3, mp.mpf(9) / 10, mp.mpf(1)):
+            v = v0 + t * (1 - v0)
+            got = cassini_reduced_integral(a, v, ctx50)
+            assert abs(got - pref * _reduced_quadrature(v0, v, ctx50)) <= tol * max(1, got)
+            assert abs(got - pref * _reduced_elliprf(v0, v)) <= tol * max(1, got)
 
     def test_out_of_range(self, ctx50):
         with pytest.raises(DomainError):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from serretlab import curves, division, quadrature
+from serretlab.algebra import minpoly
 from serretlab.curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
                               total_length_closed, v_of_u)
 from serretlab.division import (divide_cassini, divide_fundamental_arc, divide_kiepert,
@@ -20,8 +22,8 @@ class TestDivideFundamentalArc:
         assert pts[1].residual < mp.mpf(10) ** -45
 
     def test_root_on_coarse_bisection_midpoint(self):
-        # arcsin(s_1) = pi/6 puts s_1 = 1/2 exactly on the first coarse
-        # bisection midpoint, so the coarse bracket ends at the root
+        # arcsin(s_1) = pi/6 puts s_1 = 1/2 exactly on the first
+        # bisection midpoint of [0, 1]
         pts = divide_fundamental_arc(Erdos(1), 3, make_context(80))
         assert abs(pts[1].s - mp.mpf(1) / 2) < mp.mpf(10) ** -80
 
@@ -156,6 +158,76 @@ class TestDivideCassini:
             divide_cassini(Fraction(3, 2), 2, ctx50)
         with pytest.raises(ConfigurationError):
             divide_cassini(self.A, 0, ctx50)
+
+
+class TestSolverCost:
+    """Machine-independent cost gate: F evaluations per interior point."""
+
+    LEAVES = [Erdos(1), Erdos(2), Erdos(3), Erdos(4),
+              Sinusoidal(1, 3), Sinusoidal(11, 2), Sinusoidal(16, 3)]
+    CASSINI = [Fraction(1, 10), Fraction(1, 5), Fraction(4, 5), Fraction(9, 10)]
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"F": 0, "tanh_sinh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr in ("normalized_arc_integral", "cassini_reduced_integral"):
+            monkeypatch.setattr(division, attr, counted("F", getattr(division, attr)))
+        for mod in (quadrature, curves, division):
+            monkeypatch.setattr(mod, "tanh_sinh", counted("tanh_sinh", mod.tanh_sinh))
+        # Cassini results are cached per key; a cached key would cost nothing
+        division._divide_cassini_cached.cache_clear()
+        yield counts
+        division._divide_cassini_cached.cache_clear()
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_leaf_division(self, counts, digits):
+        ctx = make_context(digits)
+        for curve in self.LEAVES:
+            for l in (2, 3):
+                counts["F"] = 0
+                divide_fundamental_arc(curve, l, ctx)
+                # one F(1) for the total, then at most 10 per interior point
+                assert counts["F"] - 1 <= 10 * (l - 1), (curve, l, counts["F"])
+        assert counts["tanh_sinh"] == 0
+
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_cassini_division(self, counts, digits):
+        ctx = make_context(digits)
+        for a in self.CASSINI:
+            for n in (2, 3, 4):
+                counts["F"] = 0
+                divide_cassini(a, n, ctx)
+                assert counts["F"] - 1 <= 10, (a, n, counts["F"])
+
+
+class TestCassiniCertificate:
+    # minimal polynomial of cos(u) at a = 4/5, n = 3: an even polynomial
+    # of degree 16, listed here in y = x^2 from the constant term up
+    Y_COEFFS = (121643214659, -364275189772, -961807042048, 124575524096, -78022405120,
+                -185561595904, -31927042048, 2100297728, -16777216)
+
+    def test_degree_16_polynomial_vanishes(self):
+        cos_u = divide_cassini(Fraction(4, 5), 3, make_context(300)).cos_u
+        with mp.workdps(400):
+            resid = mp.fsum(c * cos_u ** (2 * i) for i, c in enumerate(self.Y_COEFFS))
+        assert abs(resid) < mp.mpf(10) ** -250
+
+    def test_minpoly_of_cos_u_squared(self):
+        def y(ctx):
+            cos_u = divide_cassini(Fraction(4, 5), 3, ctx).cos_u
+            with ctx.workdps():
+                return cos_u * cos_u
+
+        cand = minpoly(y, 8, 10 ** 12, make_context(150))
+        assert cand.status == "found" and cand.verified
+        assert cand.coeffs in (self.Y_COEFFS, tuple(-c for c in self.Y_COEFFS))
 
 
 class TestSubarcLength:

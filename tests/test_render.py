@@ -89,6 +89,12 @@ class TestMandelbrotCoeffs:
     def test_degree_doubles(self):
         assert len(mandelbrot_coeffs(3)) == 9
 
+    def test_level_range(self):
+        assert len(mandelbrot_coeffs(9)) == 2 ** 9 + 1
+        for level in (-1, 10, 40):
+            with pytest.raises(ConfigurationError):
+                mandelbrot_coeffs(level)
+
 
 class TestTraceImplicit:
     def test_unit_circle(self):

@@ -3,9 +3,9 @@ import pytest
 from mpmath import mp
 
 from serretlab.errors import DomainError
-from serretlab.numkernel import to_decimal
+from serretlab.numkernel import make_context, to_decimal
 from serretlab.quadrature import tanh_sinh
-from serretlab.specfun import beta, ellip_k, gamma, gauss_value_at_1, hyp2f1
+from serretlab.specfun import beta, carlson_rf, ellip_k, gamma, gauss_value_at_1, hyp2f1
 
 GAMMA_QUARTER_50 = "3.6256099082219083119306851558676720029951676828801"
 K_HALF_50 = "1.8540746773013719184338503471952600462175988235218"
@@ -78,6 +78,32 @@ class TestEllipK:
             ellip_k(1, ctx50)
         with pytest.raises(DomainError):
             ellip_k(2, ctx50)
+
+
+class TestCarlsonRF:
+    CASES = [(1, 2, 3), (mp.mpf("0.3"), mp.mpf("0.3"), 7),      # two equal
+             (0, mp.mpf("0.5"), 2), (mp.mpf(10) ** 12, mp.mpf("1e-9"), 1),
+             (5, 5, 5)]
+
+    @pytest.mark.parametrize("digits", [50, 200, 1000])
+    def test_against_mpmath(self, digits):
+        ctx = make_context(digits)
+        for x, y, z in self.CASES:
+            with mp.workdps(digits + 40):
+                ref = mpmath.elliprf(x, y, z)
+            got = carlson_rf(x, y, z, ctx)
+            assert abs(got - ref) <= mp.mpf(10) ** -digits * max(1, abs(ref))
+
+    def test_complete_integral(self, ctx50):
+        # K(m) = R_F(0, 1 - m, 1) (DLMF 19.25.1)
+        m = mp.mpf(1) / 2
+        assert abs(carlson_rf(0, 1 - m, 1, ctx50) - ellip_k(m, ctx50)) < mp.mpf(10) ** -49
+
+    def test_domain(self, ctx50):
+        with pytest.raises(DomainError):
+            carlson_rf(-1, 1, 2, ctx50)
+        with pytest.raises(DomainError):
+            carlson_rf(0, 0, 2, ctx50)
 
 
 class TestHyp2F1:
