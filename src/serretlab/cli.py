@@ -11,12 +11,17 @@ plot        SVG rendering, optionally with division markers
 Numbers in JSON/CSV output are decimal strings carrying the full
 requested digits; output is byte-deterministic for fixed inputs.
 Exit codes: 0 success, 1 identity/verification failure, 2 usage,
-3 numeric error, 4 I/O error.
+3 numeric error, 4 I/O error.  With ``--format json`` (the default), exit
+codes 2 and 3 also write a JSON error document to stdout:
+{"command", "exit_code", "error": {"kind", "message"[, "best", "state"]}},
+``best`` and ``state`` (convergence failures only) with numbers as
+decimal strings.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -475,8 +480,17 @@ def _add_curve_flags(sub, with_poly=False):
         sub.add_argument("--mandelbrot-level", type=int, metavar="L", help="0 to 9")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ConfigurationError`,
+    so that they exit 2 through the same path as every other usage error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="serretlab",
         description="arc lengths, equal-arc division points and algebraicity "
                     "certificates for Serret curves")
@@ -529,21 +543,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decimal_strings(obj, ctx):
+    """``obj`` with every number in it as a decimal string, containers as JSON ones."""
+    if obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, dict):
+        return {str(key): _decimal_strings(val, ctx) for key, val in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [_decimal_strings(val, ctx) for val in obj]
+    if dataclasses.is_dataclass(obj):
+        return _decimal_strings(vars(obj), ctx)
+    if isinstance(obj, int):
+        return str(obj)
+    return to_decimal(obj, ctx)
+
+
+def _requested_format(argv) -> str:
+    """The --format of a command line that did not parse (json by default)."""
+    fmt = "json"
+    for tok, nxt in zip(argv, argv[1:] + [None]):
+        if tok == "--format" and nxt is not None:
+            fmt = nxt
+        elif tok.startswith("--format="):
+            fmt = tok.partition("=")[2]
+    return fmt
+
+
+def _error_exit(ns, argv, exc, code: int) -> int:
+    """Exit ``code``; in JSON mode first write the error document to stdout.
+
+    The document carries the error kind and message and, for a
+    :class:`ConvergenceError`, its ``best`` estimate and ``state`` with
+    every number as a decimal string of the requested digits.
+    """
+    if (ns.format if ns is not None else _requested_format(argv)) == "json":
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ConvergenceError):
+            ctx = make_context(ns.digits)
+            error["best"] = _decimal_strings(exc.best, ctx)
+            error["state"] = _decimal_strings(exc.state, ctx)
+        doc = {"command": ns.command if ns is not None else None, "exit_code": code,
+               "error": error}
+        print(json.dumps(doc, indent=2))
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = None
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(ns, argv, exc, 2)
     except (DomainError, ConvergenceError, IntegrandError,
             InternalConsistencyError, SpuriousRelationError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+        return _error_exit(ns, argv, exc, 3)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

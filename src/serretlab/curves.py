@@ -37,7 +37,7 @@ from mpmath import mp
 
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
-from .quadrature import _clip_exponent, _internal_dps, tanh_sinh
+from .quadrature import _one_minus_power, _rational_power, tanh_sinh
 from .specfun import beta, carlson_rf, ellip_k, hyp2f1
 
 
@@ -262,7 +262,7 @@ def _total_length_quadrature(curve, ctx, route) -> BigReal:
         raise DomainError("no arc-length quadrature for PolyLemniscate")
     if route not in ("radial", "angular"):
         raise ConfigurationError(f"unknown route {route!r}")
-    with mp.workdps(_internal_dps(ctx)):
+    with ctx.workdps():
         if isinstance(curve, (Erdos, Sinusoidal)):
             if route == "angular":
                 # at a = 1 the angular integrand degenerates to
@@ -270,12 +270,13 @@ def _total_length_quadrature(curve, ctx, route) -> BigReal:
                 # default node cutoff; leaves use the radial form only
                 raise ConfigurationError("angular route needs a Regular curve")
             q = as_real(curve.q, ctx)
+            twoq = exponent_2q(curve)
             leaves = curve.leaves
             # l = 2a int_0^{2^{1/q}} dr / sqrt(1 - (r 2^{-1/q})^{2q})
             top = mp.power(2, 1 / q)
 
-            def f(r):
-                return 1 / mp.sqrt(1 - mp.power(r / top, 2 * q))
+            def f(node):
+                return 1 / mp.sqrt(_one_minus_power(node[2] / top, twoq))
 
             return 2 * leaves * tanh_sinh(f, 0, top, ctx).value
         a, k = curve.a, curve.k
@@ -289,9 +290,10 @@ def _total_length_quadrature(curve, ctx, route) -> BigReal:
             expo = mp.mpf(k - 1) / (2 * k)
             comp = (1 - bk) ** 2 / (1 + bk) ** 2  # 1 - pfaff_b, cancellation-free
 
-            def f(phi):
+            def f(node):
                 # 1 - pb sin^2 = cos^2 + (1-pb) sin^2; at a = 1 the raw
                 # form cancels to rounding noise near phi = pi/2
+                phi = node[0]
                 w = mp.cos(phi) ** 2 + comp * mp.sin(phi) ** 2
                 return mp.power(w, -expo)
 
@@ -299,15 +301,16 @@ def _total_length_quadrature(curve, ctx, route) -> BigReal:
             return val if inv else val * base ** (k - 1)
         # evaluate the radial integral through y = r^k, whose endpoints
         # |1 - a^k| and 1 + a^k are exact; the singular quadratic factors
-        # are kept in factored form so the offsets from the endpoints
-        # never cancel away:
+        # are kept in factored form, with the offsets from the endpoints
+        # taken from the node:
         #   2k int 2 r^k dr / sqrt(.) = 4 int y^(1/k) dy / sqrt(.)
         y_lo = abs(1 - ak)
         y_hi = 1 + ak
 
-        def f(y):
-            quart = (y - y_lo) * (y + y_lo) * (y_hi - y) * (y_hi + y)
-            return mp.power(y, mp.mpf(1) / k) / mp.sqrt(quart)
+        def f(node):
+            y, da, db = node
+            quart = da * (y + y_lo) * db * (y_hi + y)
+            return mp.root(y, k) / mp.sqrt(quart)
 
         return 4 * tanh_sinh(f, y_lo, y_hi, ctx).value
 
@@ -322,12 +325,30 @@ def total_length_quadrature(curve, ctx: PrecisionContext, route: str = "radial")
     return _total_length_quadrature(curve, ctx, route)
 
 
+def _angular_window(curve, ctx: PrecisionContext):
+    """(period, half-width) of the windows |theta - j period| <= half-width
+    holding the outer branch, or None when it covers every angle
+    (Regular, a < 1)."""
+    if isinstance(curve, (Erdos, Sinusoidal)):
+        q = as_real(curve.q, ctx)
+        return 2 * mp.pi / q, mp.pi / (2 * q)
+    if curve.a < 1:
+        return None
+    k = curve.k
+    return 2 * mp.pi / k, mp.asin(as_real(curve.a, ctx) ** (-k)) / k
+
+
 def polar_arc_length(curve, theta1, theta2, ctx: PrecisionContext) -> BigReal:
     """Arc length along the outer branch between two angles.
 
     Uses ds = r(theta) dtheta / sqrt(1 - a^2k sin^2(k theta)) for
     Regular curves and ds = r dtheta / |cos(q theta)| for leaves (the
-    a = 1 degeneration of the same identity).
+    a = 1 degeneration of the same identity).  Where the branch ends at
+    an angle (the leaf edge pi/(2q), or asin(a^-k)/k for a > 1, about
+    the window center), the vanishing factor is formed from the node's
+    distance e to that edge, taken from the integration limits and the
+    node offsets; a limit within 10**-(working_digits - 5) of an edge is
+    taken to be the edge.
     """
     if isinstance(curve, PolyLemniscate):
         raise DomainError("no arc length for PolyLemniscate")
@@ -336,35 +357,56 @@ def polar_arc_length(curve, theta1, theta2, ctx: PrecisionContext) -> BigReal:
         alpha = min(1 / float(curve.q) - 1, -0.5)
     else:
         alpha = -0.5
-    # endpoints must carry the full internal precision of the quadrature,
-    # or the leaf-edge singularity detaches from the integration limit
-    with mp.workdps(_internal_dps(ctx, _clip_exponent(ctx, alpha))):
+    with ctx.workdps():
         t1 = as_real(theta1, ctx)
         t2 = as_real(theta2, ctx)
         if t1 == t2:
             return mp.mpf(0)
         if t1 > t2:
             t1, t2 = t2, t1
+        window = _angular_window(curve, ctx)
+        if window is not None:
+            period, edge = window
+            center = period * mp.nint((t1 + t2) / (2 * period))
+            # distances of the limits from the window edges
+            gap_lo, gap_hi = (t1 - center) + edge, edge - (t2 - center)
+            snap = mp.mpf(10) ** (-(ctx.working_digits - 5))
+            if gap_lo < -snap or gap_hi < -snap:
+                raise DomainError(f"angles {t1}, {t2} leave the window of half-width {edge}")
+            if gap_lo <= snap:
+                gap_lo, t1 = mp.mpf(0), center - edge
+            if gap_hi <= snap:
+                gap_hi, t2 = mp.mpf(0), center + edge
+
         if isinstance(curve, (Erdos, Sinusoidal)):
             q = as_real(curve.q, ctx)
+            inv_q = 1 / curve.q
 
-            def f(th):
-                c = 2 * mp.cos(q * th)
-                if c <= 0:
-                    raise DomainError(f"angle {th} outside the leaf")
-                return mp.power(c, 1 / q) / mp.cos(q * th)
+            def f(node):
+                _, da, db = node
+                # cos(q theta) = sin(q e), e the distance from the nearer edge
+                c = mp.sin(q * min(gap_lo + da, gap_hi + db))
+                return _rational_power(2 * c, inv_q) / c
         else:
             a = as_real(curve.a, ctx)
             k = curve.k
             ak = a ** k
             a2k = ak * ak
 
-            def f(th):
-                w = 1 - a2k * mp.sin(k * th) ** 2
+            def f(node):
+                th, da, db = node
+                if window is None:
+                    w = 1 - a2k * mp.sin(k * th) ** 2
+                else:
+                    # with |theta - center| = edge - e and a^k sin(k edge) = 1,
+                    # 1 - a^k sin(k(edge - e)) = 2 a^k cos(k(edge - e/2)) sin(k e/2)
+                    e = min(gap_lo + da, gap_hi + db)
+                    w = (2 * ak * mp.cos(k * (edge - e / 2)) * mp.sin(k * e / 2)
+                         * (1 + ak * mp.sin(k * (edge - e))))
                 if w <= 0:
                     raise DomainError(f"angle {th} outside the component")
                 rk = ak * mp.cos(k * th) + mp.sqrt(w)
-                return mp.power(rk, mp.mpf(1) / k) / mp.sqrt(w)
+                return mp.root(rk, k) / mp.sqrt(w)
 
         return tanh_sinh(f, t1, t2, ctx, min_endpoint_exponent=alpha).value
 

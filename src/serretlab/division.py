@@ -30,7 +30,7 @@ from .curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
                      polar_arc_length, polar_radius, total_length_closed)
 from .errors import ConfigurationError, ConvergenceError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
-from .quadrature import _internal_dps, tanh_sinh
+from .quadrature import _one_minus_power, tanh_sinh
 
 
 @dataclass(frozen=True)
@@ -66,18 +66,19 @@ def subarc_length(curve, s_a, s_b, ctx: PrecisionContext) -> BigReal:
     """
     if not isinstance(curve, (Erdos, Sinusoidal)):
         raise DomainError("subarc_length needs an Erdos or Sinusoidal curve")
-    with mp.workdps(_internal_dps(ctx)):
-        twoq = as_real(exponent_2q(curve), ctx)
+    with ctx.workdps():
+        twoq = exponent_2q(curve)
         sa = as_real(s_a, ctx)
         sb = as_real(s_b, ctx)
         if not 0 <= sa <= sb <= 1:
             raise DomainError(f"need 0 <= s_a <= s_b <= 1, got {sa}, {sb}")
         if sa == sb:
             return mp.mpf(0)
-        scale = mp.power(2, 1 / (twoq / 2))
+        scale = mp.power(2, 2 / as_real(twoq, ctx))
+        gap = 1 - sb  # distance of the upper limit from the singular s = 1
 
-        def f(s):
-            return 1 / mp.sqrt(1 - mp.power(s, twoq))
+        def f(node):
+            return 1 / mp.sqrt(_one_minus_power(gap + node[2], twoq))
 
         return scale * tanh_sinh(f, sa, sb, ctx).value
 

@@ -16,7 +16,7 @@ from mpmath import mp
 
 from .curves import Regular, total_length_closed, total_length_quadrature
 from .numkernel import BigReal, PrecisionContext, as_real
-from .quadrature import _internal_dps, tanh_sinh
+from .quadrature import tanh_sinh
 from .specfun import beta, ellip_k, gamma, gauss_value_at_1, hyp2f1
 
 
@@ -127,16 +127,16 @@ def check_period_ratio_genus2(ctx: PrecisionContext, tol_exponent=None) -> Ident
     y^4 = (1-bx) x^2 (1-x)^2 is an algebraic multiple of an elliptic period."""
     rows = []
     for a in (Fr(1, 2), Fr(3, 5), Fr(4, 5)):
-        with mp.workdps(_internal_dps(ctx)):
+        with ctx.workdps():
             av = as_real(a, ctx)
             b = 4 * av ** 2 / (1 + av ** 2) ** 2
             quarter = mp.mpf(1) / 4
 
-            def f(t):
-                return 1 / ((1 - b * t) ** quarter * mp.sqrt(t * (1 - t)))
+            def f(node):
+                t, da, db = node
+                return 1 / ((1 - b * t) ** quarter * mp.sqrt(da * db))
 
             lhs = tanh_sinh(f, 0, 1, ctx).value
-        with ctx.workdps():
             rhs = 2 * mp.sqrt(1 + av ** 2) * ellip_k((1 - mp.sqrt(1 - av ** 4)) / 2, ctx)
             rows.append(((a,), abs(lhs - rhs)))
     return _assemble("period_ratio_genus2", rows, 5, ctx, tol_exponent)

@@ -11,17 +11,23 @@ delta(t) = 1 - tanh((pi/2) sinh t) = 2/(exp(2u) + 1), clipped at
 10**(-clip) where clip grows with the worst endpoint exponent alpha
 (about working_digits/(1+alpha); twice the working digits for the
 default alpha = -1/2 -- a clip at only 10**-(digits+guard) would leave
-a truncated tail of its square root, far above the target).  The
-integrand is evaluated at clip + 40 decimal digits so an offset never
-rounds onto the endpoint itself, and f is never called at a or b.
-Integration limits must be supplied at (at least) that same precision
-whenever a singularity of f sits exactly at the limit; conversions
-here never round an incoming mpf down.
+a truncated tail of its square root, far above the target).
+
+Nodes that close to an endpoint round onto it at any affordable
+precision, so the integrand is never given x alone: it receives one
+node ``(x, da, db)`` with da = x - a and db = b - x formed from the
+offset without cancellation (hw*delta on the near side, 2hw - hw*delta
+on the far one), and builds its singular factor from those distances
+(Bailey, Jeyabalan and Li, Experimental Math. 14 (2005)).  Offsets and
+weights need relative precision only, so the node tables and every
+evaluation run at working_digits + 20 places, and f is never called at
+a or b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -32,8 +38,15 @@ from .numkernel import BigReal, PrecisionContext, as_real
 
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_ENDPOINT_EXPONENT = -0.5
-# decimal places evaluated beyond the node cutoff 10**-clip_exponent
-_EVAL_MARGIN = 40
+# decimal places evaluated beyond the working digits
+_EVAL_MARGIN = 20
+# below this distance u from a singular endpoint, 1 - (1-u)^p is summed as a
+# series in u; above it the plain power loses fewer than 15 of the
+# _EVAL_MARGIN spare digits
+_CANCELLATION_FLOOR = mp.mpf("1e-15")
+
+# an integrand receives one node (x, da, db) with da = x - a, db = b - x
+Integrand = Callable[[tuple], BigReal]
 
 
 def _clip_exponent(ctx: PrecisionContext, alpha: float) -> int:
@@ -50,23 +63,47 @@ def _clip_exponent(ctx: PrecisionContext, alpha: float) -> int:
     return max(2 * ctx.working_digits, int(needed) + 1)
 
 
-def _internal_dps(ctx: PrecisionContext, clip_exponent: int = None) -> int:
-    if clip_exponent is None:
-        clip_exponent = 2 * ctx.working_digits
-    return clip_exponent + _EVAL_MARGIN
+def _rational_power(x, p: Fraction) -> BigReal:
+    """x^p for x >= 0 and p = m/n > 0: an integer root and an integer power,
+    several times cheaper than exp(p log x)."""
+    root = x if p.denominator == 1 else mp.root(x, p.denominator)
+    return root ** p.numerator
+
+
+def _one_minus_power(u, p: Fraction) -> BigReal:
+    """1 - (1 - u)^p = -expm1(p log1p(-u)) for 0 < u <= 1 and p > 0, without
+    cancellation as u -> 0.
+
+    Below _CANCELLATION_FLOOR it is the binomial series sum_{j>=1} c_j u^j,
+    c_1 = p, c_{j+1} = c_j (j - p)/(j + 1): each term is below 1e-15
+    |j - p|/(j + 1) times the one before, so the sum takes a few
+    multiplications (none past j = p for integer p), several times cheaper
+    than the logarithm and exponential.
+    """
+    if u >= _CANCELLATION_FLOOR:
+        return 1 - _rational_power(1 - u, p)
+    p = mp.mpf(p.numerator) / p.denominator
+    term = total = p * u
+    tol = abs(total) * mp.eps / 2
+    j = 1
+    while abs(term) > tol:
+        term = term * (j - p) * u / (j + 1)
+        total += term
+        j += 1
+    return total
 
 
 @lru_cache(maxsize=None)
-def _nodes(clip_exponent: int, level: int) -> tuple:
-    """Positive-t nodes introduced at ``level`` (h = 2**-level).
+def _nodes(clip_exponent: int, level: int, dps: int) -> tuple:
+    """Positive-t nodes introduced at ``level`` (h = 2**-level), at ``dps`` places.
 
     Level 0 holds all integer abscissas including t = 0; level k > 0
     holds the odd multiples of 2**-k.  Each entry is (delta, w) with
     delta the distance of the abscissa from +1 and w the pure transform
-    weight (pi/2) cosh(t) sech((pi/2) sinh t)**2, h excluded.  The
-    table depends on clip_exponent and level only, so it is cached on them.
+    weight (pi/2) cosh(t) sech((pi/2) sinh t)**2, h excluded; both carry
+    ``dps`` places relative to their own size.
     """
-    with mp.workdps(clip_exponent + _EVAL_MARGIN):
+    with mp.workdps(dps):
         clip = mp.mpf(10) ** (-clip_exponent)
         u_max = (clip_exponent * mp.log(10) + mp.log(2)) / 2
         t_max = mp.asinh(2 * u_max / mp.pi)
@@ -96,48 +133,56 @@ class QuadratureResult:
     levels_used: int
 
 
-def tanh_sinh(f: Callable[[BigReal], BigReal], a, b, ctx: PrecisionContext,
+def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
               max_level: int = DEFAULT_MAX_LEVEL,
               min_endpoint_exponent: float = DEFAULT_ENDPOINT_EXPONENT) -> QuadratureResult:
     """Integrate f over (a, b) to context accuracy.
 
+    f is called with one node ``(x, da, db)``, da = x - a and db = b - x
+    accurate to working_digits + 20 places relative to their size; a
+    factor singular at an endpoint must be formed from da or db, since
+    x itself may round onto the endpoint.  f is never evaluated at a or b.
+
     Stops when two consecutive refinement levels agree to
     10**(-digits-3) relative to max(1, |integral|); raises
     :class:`ConvergenceError` carrying the best estimate if ``max_level``
-    is reached first.  f is never evaluated at a or b.
+    is reached first.
 
     ``min_endpoint_exponent`` is the worst algebraic endpoint exponent
     of f (must be > -1); exponents below the default -1/2 deepen the
     node cutoff so the truncated tail stays below the target.
     """
     clip_exp = _clip_exponent(ctx, min_endpoint_exponent)
-    with mp.workdps(_internal_dps(ctx, clip_exp)):
+    dps = ctx.working_digits + _EVAL_MARGIN
+    with mp.workdps(dps):
         a = as_real(a, ctx)
         b = as_real(b, ctx)
         if not a < b:
             raise DomainError(f"need a < b, got a={a}, b={b}")
-        hw = (b - a) / 2
+        width = b - a
+        hw = width / 2
         target = mp.mpf(10) ** (-ctx.digits - 3)
         floor = mp.mpf(10) ** (-ctx.working_digits)
 
-        def eval_at(delta, from_b):
-            x = b - hw * delta if from_b else a + hw * delta
+        def eval_at(node):
             try:
-                fx = f(x)
+                fx = f(node)
             except ZeroDivisionError as exc:
-                raise IntegrandError(f"integrand not evaluable at x={x}") from exc
+                raise IntegrandError(f"integrand not evaluable at x={node[0]}") from exc
             if isinstance(fx, mp.mpc) or not mp.isfinite(fx):
-                raise IntegrandError(f"integrand not finite and real at x={x}")
+                raise IntegrandError(f"integrand not finite and real at x={node[0]}")
             return fx
 
         total = mp.mpf(0)     # sum of w*f over all nodes seen so far
         value = prev = None
         err = None
         for level in range(0, max_level + 1):
-            for delta, w in _nodes(clip_exp, level):
-                total += w * eval_at(delta, True)
+            for delta, w in _nodes(clip_exp, level, dps):
+                near = hw * delta
+                far = width - near
+                total += w * eval_at((b - near, far, near))
                 if delta != 1:  # t = 0 is its own mirror image
-                    total += w * eval_at(delta, False)
+                    total += w * eval_at((a + near, near, far))
             value = hw * total * mp.mpf(2) ** (-level)
             if prev is not None:
                 err = abs(value - prev)
@@ -161,8 +206,11 @@ def beta_integral_check(n: int, i: int, ctx: PrecisionContext) -> BigReal:
     if n < 1 or not (0 <= i <= n - 1):
         raise DomainError(f"need n >= 1 and 0 <= i <= n-1, got n={n}, i={i}")
     with ctx.workdps():
-        def f(s):
-            return s ** i / mp.sqrt(1 - s ** (2 * n))
+        twon = Fraction(2 * n)
+
+        def f(node):
+            s, _, u = node
+            return s ** i / mp.sqrt(_one_minus_power(u, twon))
 
         q = tanh_sinh(f, 0, 1, ctx).value
         closed = beta(mp.mpf(1) / 2, mp.mpf(i + 1) / (2 * n), ctx) / (2 * n)

@@ -18,21 +18,38 @@ from mpmath import mp
 from .errors import ConvergenceError, DomainError
 from .numkernel import BigReal, PrecisionContext, as_real
 
+# refuse a power series whose term budget exceeds this: near z = 1 with an
+# integer r - p - q (no 1 - z route) it would take minutes
 _MAX_SERIES_TERMS = 500_000
+# the 1 - z route (DLMF 15.8.4) above this z: the direct series needs about
+# W ln 10 / -ln z terms for W digits, the route two series of W ln 10 / -ln(1-z)
+# terms plus seven Gamma values, so it overtakes the series (equal term
+# counts at z = 0.62) at z = 0.72-0.78, measured at 15 to 1000 digits
+_ONE_MINUS_Z_ABOVE = 0.75
+# r - p - q closer than this to an integer keeps the direct series: the
+# connection coefficients have poles at integers, and near them lose
+# log10(1/distance) digits
+_INTEGER_MARGIN = 1e-4
+
+
+def _is_pole(x) -> bool:
+    return x <= 0 and x == mp.floor(x)
 
 
 def gamma(x, ctx: PrecisionContext) -> BigReal:
-    """Gamma(x) for x > 0.
+    """Gamma(x) for real x other than 0, -1, -2, ...
 
     Rising-factorial shift x -> x + N until the argument exceeds
     digits*ln(10)/2, then the Stirling asymptotic series for log Gamma;
     for real positive arguments the remainder is bounded by the first
     omitted term, which is driven below 10**-(working_digits + 5).
+    Negative x is shifted the same way, through
+    Gamma(x) = Gamma(x + N) / (x (x+1) ... (x+N-1)).
     """
     with ctx.workdps(10):
         x = as_real(x, ctx)
-        if x <= 0:
-            raise DomainError(f"gamma requires x > 0, got {x}")
+        if _is_pole(x):
+            raise DomainError(f"gamma has a pole at x = {x}")
         threshold = ctx.digits * mp.log(10) / 2
         n_shift = max(0, int(mp.ceil(threshold - x)))
         z = x + n_shift
@@ -118,27 +135,73 @@ def _check_2f1_domain(p, q, r, z):
         raise DomainError("2F1 at z = 1 requires r - p - q > 0")
 
 
-def _series_2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
-    """Direct power series, valid for 0 <= z < 1.
+def _series_2f1(p, q, r, z, tol_digits: int) -> BigReal:
+    """Direct power series for 0 <= z < 1, truncated below 10**-tol_digits.
 
-    Terms t_{n+1} = t_n (p+n)(q+n) z / ((r+n)(1+n)); stops once 20
-    consecutive terms fall below 10**-(working_digits) times the
-    running sum.
+    Terms t_{n+1} = t_n rho_n with rho_n = (p+n)(q+n) z / ((r+n)(1+n)).
+    Once n exceeds -p, -q, -r and -1, each factor (j+u)/(j+v) of rho_j is
+    monotone in j and tends to 1, so every later ratio is at most
+    rho = z max(1, (n+p)/(n+1)) max(1, (n+q)/(n+r)); when rho < 1 the
+    tail after t_n is at most |t_n| rho/(1 - rho), and the sum stops once
+    that bound is below 10**-tol_digits times max(1, |sum|).  The series
+    needs about tol_digits ln(10) / -ln(z) terms; twice that, plus the
+    terms before the ratio settles, is the budget, and an estimate above
+    _MAX_SERIES_TERMS raises :class:`ConvergenceError` before any term.
     """
-    eps = mp.mpf(10) ** (-ctx.working_digits)
-    total = term = mp.mpf(1)
-    small_run = 0
-    for n in range(_MAX_SERIES_TERMS):
+    eps = mp.mpf(10) ** (-tol_digits)
+    need = tol_digits * mp.log(10) / -mp.log(z) if z > 0 else 0
+    if need > _MAX_SERIES_TERMS:
+        raise ConvergenceError(f"2F1 series would need about {int(need)} terms "
+                               f"(p={p}, q={q}, r={r}, z={z})")
+    settled = int(mp.floor(max(-p, -q, -r, -1)))
+    one = mp.mpf(1)
+    total = term = one
+    for n in range(int(2 * need + 4 * (abs(p) + abs(q) + abs(r))) + 100):
         term = term * (p + n) * (q + n) / ((r + n) * (1 + n)) * z
         total += term
-        if abs(term) < eps * max(mp.mpf(1), abs(total)):
-            small_run += 1
-            if small_run >= 20:
+        small = eps * max(one, abs(total))
+        if abs(term) < small:
+            m = n + 1  # term is t_m
+            if term == 0:
                 return total
-        else:
-            small_run = 0
+            if m > settled:
+                rho = z * max(one, (m + p) / (m + 1)) * max(one, (m + q) / (m + r))
+                if rho < 1 and abs(term) * rho < small * (1 - rho):
+                    return total
     raise ConvergenceError("2F1 series did not converge "
                            f"(p={p}, q={q}, r={r}, z={z})")
+
+
+def _one_minus_z(p, q, r, z, ctx: PrecisionContext) -> BigReal:
+    """2F1 for 0 < z < 1 through two series in 1 - z (DLMF 15.8.4), s = r - p - q
+    not an integer and no Gamma below at a pole:
+
+    2F1(p,q;r;z) = G(r) G(s) / (G(r-p) G(r-q)) 2F1(p, q; 1-s; 1-z)
+                 + (1-z)^s G(r) G(-s) / (G(p) G(q)) 2F1(r-p, r-q; 1+s; 1-z).
+
+    As s nears an integer the two terms grow like 1/dist(s, Z) and cancel;
+    beyond _INTEGER_MARGIN that costs at most 4 digits, so the series run
+    5 digits past working.
+    """
+    sv = r - p - q
+    w = 1 - z
+    digits = ctx.working_digits + 5
+    g_r = gamma(r, ctx)
+    first = (g_r * gamma(sv, ctx) / (gamma(r - p, ctx) * gamma(r - q, ctx))
+             * _series_2f1(p, q, 1 - sv, w, digits))
+    second = (mp.power(w, sv) * g_r * gamma(-sv, ctx) / (gamma(p, ctx) * gamma(q, ctx))
+              * _series_2f1(r - p, r - q, 1 + sv, w, digits))
+    return first + second
+
+
+def _hyp2f1_unit(p, q, r, z, ctx: PrecisionContext) -> BigReal:
+    """2F1 for 0 <= z < 1: the direct series, or the 1 - z route above
+    _ONE_MINUS_Z_ABOVE where it applies."""
+    sv = r - p - q
+    if (z > _ONE_MINUS_Z_ABOVE and abs(sv - mp.nint(sv)) >= _INTEGER_MARGIN
+            and not any(_is_pole(g) for g in (p, q, r - p, r - q))):
+        return _one_minus_z(p, q, r, z, ctx)
+    return _series_2f1(p, q, r, z, ctx.working_digits)
 
 
 def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
@@ -147,10 +210,14 @@ def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
     r must not be zero or a negative integer, and z = 1 needs
     r - p - q > 0; other arguments raise :class:`DomainError`.
 
-    Routing: z = 1 by Gauss summation; z in [0, 1) by the power series;
+    Routing: z = 1 by Gauss summation; z in [0, 3/4] by the power series;
+    z in (3/4, 1) by the connection formula DLMF 15.8.4, two power series
+    in 1 - z < 1/4, unless r - p - q is within 1e-4 of an integer or
+    p, q, r - p or r - q is zero or a negative integer (then the series in
+    z, which refuses to start if it would need more than 500,000 terms);
     z < 0 by one Pfaff transformation
-    2F1(p,q,r;z) = (1-z)^-p 2F1(p, r-q, r; z/(z-1)) followed by the
-    series (the Pfaff image of a negative argument lies in (0, 1)).
+    2F1(p,q,r;z) = (1-z)^-p 2F1(p, r-q, r; z/(z-1)) followed by the same
+    routing of its image in (0, 1).
     """
     with ctx.workdps(10):
         p = as_real(p, ctx)
@@ -164,8 +231,8 @@ def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
             return gauss_value_at_1(p, q, r, ctx)
         if z < 0:
             w = z / (z - 1)
-            return (1 - z) ** (-p) * _series_2f1(p, r - q, r, w, ctx)
-        return _series_2f1(p, q, r, z, ctx)
+            return (1 - z) ** (-p) * _hyp2f1_unit(p, r - q, r, w, ctx)
+        return _hyp2f1_unit(p, q, r, z, ctx)
 
 
 def gauss_value_at_1(p, q, r, ctx: PrecisionContext) -> BigReal:

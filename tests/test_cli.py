@@ -94,6 +94,72 @@ class TestLength:
         assert run(capsys, "length", "--erdos", "1")[0] == 2
 
 
+    def test_degenerate_edge(self, capsys):
+        # within 10^-5 of a = 1 the 2F1 argument is 1 - 4e-5, where the plain
+        # series would need about 1.7 million terms
+        start = time.process_time()
+        doc = run_json(capsys, "length", "--regular", "a=99999/100000", "k=2", "--digits", "15")
+        row = doc["results"][0]
+        assert mp.mpf(row["residual"]) < mp.mpf(10) ** -15
+        assert row["closed_form"] == row["quadrature"]
+        assert time.process_time() - start < 10
+
+
+class TestErrorDocument:
+    """--format json (the default) also writes exit codes 2 and 3 as JSON."""
+
+    def test_usage_error_exit_2(self, capsys):
+        code, out, err = run(capsys, "length", "--erdos", "1", "--sinusoidal", "1/2")
+        assert code == 2 and "exactly one curve flag" in err
+        doc = json.loads(out)
+        assert doc["command"] == "length" and doc["exit_code"] == 2
+        assert doc["error"] == {"kind": "ConfigurationError",
+                                "message": "exactly one curve flag required, "
+                                           "got ['erdos', 'sinusoidal']"}
+        # a command line that does not parse: no command known
+        code, out, _ = run(capsys, "length", "--erdos", "x")
+        doc = json.loads(out)
+        assert code == 2 and doc["command"] is None and doc["exit_code"] == 2
+        assert "invalid int value" in doc["error"]["message"]
+        # other formats keep stdout empty
+        assert run(capsys, "length", "--erdos", "x", "--format", "csv")[1] == ""
+        assert run(capsys, "length", "--erdos", "1", "--cassini", "a=1/2",
+                   "--format=text")[1] == ""
+
+    def test_numeric_error_exit_3(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "divide", "--cassini", "a=1", "--n", "2")
+        doc = json.loads(out)
+        assert code == 3 and doc["exit_code"] == 3
+        assert doc["error"] == {"kind": "DomainError", "message": "need 0 < a < 1, got 1"}
+        # a solver that cannot converge: F never reaches the target
+        monkeypatch.setattr("serretlab.division.normalized_arc_integral",
+                            lambda twoq, s, ctx: mp.mpf(0) if s < 1 else mp.mpf(1))
+        code, out, _ = run(capsys, "divide", "--erdos", "2", "--parts", "2", "--digits", "20")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ConvergenceError"
+        assert error["message"] == "division solver stalled at fraction 1/2"
+        # decimal strings of the requested 20 digits; the bracket closed on s = 1
+        assert error["best"] == "1." + "0" * 19
+        assert error["state"] == {"bracket": [error["best"], error["best"]],
+                                  "residual": "0.5" + "0" * 19}
+
+    def test_quadrature_best_estimate(self, capsys, monkeypatch):
+        from functools import partial
+
+        from serretlab import curves
+
+        monkeypatch.setattr(curves, "tanh_sinh", partial(curves.tanh_sinh, max_level=1))
+        code, out, _ = run(capsys, "length", "--erdos", "5", "--digits", "17")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ConvergenceError" and error["state"] is None
+        best = error["best"]
+        assert best["levels_used"] == "1"
+        # the half-leaf integral l(C_5)/10 = 1.30068..., two levels in
+        assert abs(mp.mpf(best["value"]) - mp.mpf("1.30068")) < mp.mpf(best["error_estimate"])
+
+
 class TestDivide:
     def test_circle_half_minpoly(self, capsys):
         doc = run_json(capsys, "divide", "--erdos", "1", "--parts", "2",

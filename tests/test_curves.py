@@ -11,7 +11,7 @@ from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
 from serretlab.division import subarc_length
 from serretlab.errors import ConfigurationError, DomainError
 from serretlab.numkernel import make_context
-from serretlab.quadrature import _internal_dps, tanh_sinh
+from serretlab.quadrature import tanh_sinh
 from serretlab.specfun import beta, hyp2f1
 
 L_C2_60 = "7.41629870920548767373540138878104018487039529408706762231"
@@ -187,13 +187,12 @@ class TestTotalLengths:
 
 def _reduced_quadrature(v0, v, ctx):
     """int_{v0}^{v} dt / sqrt(t (1-t) (t-v0) (t+v0)) by tanh-sinh."""
-    with mp.workdps(_internal_dps(ctx)):
-        # factored t^2 - v0^2: near the singular lower endpoint the
-        # difference is formed before multiplying
-        def f(t):
-            return 1 / mp.sqrt(t * (1 - t) * (t - v0) * (t + v0))
+    # factored t^2 - v0^2, with t - v0 and 1 - t from the node offsets
+    def f(node):
+        t, da, db = node
+        return 1 / mp.sqrt(t * ((1 - v) + db) * da * (t + v0))
 
-        return tanh_sinh(f, v0, v, ctx).value
+    return tanh_sinh(f, v0, v, ctx).value
 
 
 def _reduced_elliprf(v0, v):
@@ -262,7 +261,35 @@ class TestCassiniPieces:
             cos_u_of_v(mp.mpf("1.5"), self.A, ctx50)
 
 
+def _edge_3_2_k3():
+    """asin(a^-k)/k for a = 3/2, k = 3: the outer branch ends at this angle."""
+    return mp.asin(mp.mpf(8) / 27) / 3
+
+
+# the outer arc of C_(3/2, 3) from theta = -1/10 to the window edge, by an
+# independent tanh-sinh evaluation in theta at 170 places
+REGULAR_3_2_K3_ARC = "0.4894030922667066734771671942200988016391372784320229437"
+
+
 class TestPolarArcLength:
+    @pytest.mark.parametrize("digits", [50, 100])
+    def test_window_edge_above_one(self, digits):
+        ctx = make_context(digits)
+        curve = Regular(Fraction(3, 2), 3)
+        arc = polar_arc_length(curve, mp.mpf(-1) / 10, _edge_3_2_k3(), ctx)
+        assert abs(arc - mp.mpf(REGULAR_3_2_K3_ARC)) < mp.mpf(10) ** -54
+        # the same window about the next center 2 pi / 3, and rounding noise
+        # past the edge snaps onto it
+        shifted = polar_arc_length(curve, 2 * mp.pi / 3 - mp.mpf(1) / 10,
+                                   2 * mp.pi / 3 + _edge_3_2_k3(), ctx)
+        assert abs(shifted - arc) < mp.mpf(10) ** -digits
+        noisy = polar_arc_length(curve, mp.mpf(-1) / 10,
+                                 _edge_3_2_k3() + mp.mpf(10) ** -(digits + 16), ctx)
+        assert abs(noisy - arc) < mp.mpf(10) ** -digits
+        with pytest.raises(DomainError):
+            polar_arc_length(curve, 0, _edge_3_2_k3() + mp.mpf(10) ** -6, ctx)
+
+
     def test_quarter_oval(self, ctx50):
         curve = Regular(Fraction(4, 5), 2)
         quarter = polar_arc_length(curve, 0, mp.pi / 2, ctx50)
@@ -271,9 +298,58 @@ class TestPolarArcLength:
     def test_leaf_half(self, ctx50):
         arc = polar_arc_length(Erdos(3), 0, mp.pi / 6, ctx50)
         assert abs(arc - total_length_closed(Erdos(3), ctx50) / 6) < mp.mpf(10) ** -45
+        # edge to edge, one whole leaf, and the leaf about 2 pi / q for q = 3/2
+        leaf = polar_arc_length(Erdos(3), -mp.pi / 6, mp.pi / 6, ctx50)
+        assert abs(leaf - total_length_closed(Erdos(3), ctx50) / 3) < mp.mpf(10) ** -45
+        curve = Sinusoidal(3, 2)
+        leaf = polar_arc_length(curve, mp.pi, 5 * mp.pi / 3, ctx50)
+        assert abs(leaf - total_length_closed(curve, ctx50) / 3) < mp.mpf(10) ** -45
 
     def test_degenerate_and_swap(self, ctx50):
         assert polar_arc_length(Erdos(2), mp.mpf("0.3"), mp.mpf("0.3"), ctx50) == 0
         a = polar_arc_length(Erdos(2), 0, mp.mpf("0.5"), ctx50)
         b = polar_arc_length(Erdos(2), mp.mpf("0.5"), 0, ctx50)
         assert a == b
+
+
+class TestWorkingPrecision:
+    """Machine-independent gate: every integrand runs near the working digits,
+    not at twice them, and the evaluation counts stay pinned."""
+
+    # (label, call at 50 digits, integrand evaluations)
+    CASES = [
+        ("erdos 3", lambda ctx: total_length_quadrature(Erdos(3), ctx), 691),
+        ("sinusoidal 1/3", lambda ctx: total_length_quadrature(Sinusoidal(1, 3), ctx), 345),
+        ("regular a=4/5 k=3", lambda ctx: total_length_quadrature(Regular(Fraction(4, 5), 3), ctx),
+         691),
+        ("regular a=3/2 k=2", lambda ctx: total_length_quadrature(Regular(Fraction(3, 2), 2), ctx),
+         691),
+        ("regular angular", lambda ctx: total_length_quadrature(Regular(Fraction(4, 5), 3), ctx,
+                                                                "angular"), 1383),
+        ("cassini arc", lambda ctx: polar_arc_length(Regular(Fraction(4, 5), 2), mp.mpf(1) / 5,
+                                                     mp.pi / 3, ctx), 691),
+        ("leaf arc", lambda ctx: polar_arc_length(Erdos(3), 0, mp.pi / 6, ctx), 743),
+        ("window arc", lambda ctx: polar_arc_length(Regular(Fraction(3, 2), 3), mp.mpf(-1) / 10,
+                                                    _edge_3_2_k3(), ctx), 1383),
+        ("subarc", lambda ctx: subarc_length(Sinusoidal(1, 3), mp.mpf(1) / 4, 1, ctx), 691),
+    ]
+
+    @pytest.mark.parametrize("label,call,evals", CASES, ids=[c[0] for c in CASES])
+    def test_integrand_precision_and_count(self, monkeypatch, label, call, evals):
+        from serretlab import curves, division
+
+        seen = []
+
+        def recording(f, *args, **kwargs):
+            def g(node):
+                seen.append(mp.dps)
+                return f(node)
+            return tanh_sinh(g, *args, **kwargs)
+
+        for mod in (curves, division):
+            monkeypatch.setattr(mod, "tanh_sinh", recording)
+        curves._total_length_quadrature.cache_clear()
+        ctx = make_context(50)
+        call(ctx)
+        assert max(seen) <= ctx.working_digits + 25
+        assert len(seen) == evals

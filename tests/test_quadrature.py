@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
 from serretlab.errors import ConvergenceError, DomainError, IntegrandError
-from serretlab.quadrature import QuadratureResult, beta_integral_check, tanh_sinh
+from serretlab.quadrature import QuadratureResult, _one_minus_power, beta_integral_check, tanh_sinh
 
 # frozen with mpmath.beta at 85 digits (independent of serretlab.specfun);
 # parsed lazily so the ambient-precision fixture governs the conversion
@@ -12,28 +14,45 @@ SIXTH_B_HALF_THIRD = (      # (1/6) B(1/2, 1/3) = int_0^1 s ds/sqrt(1-s^6)
     "0.701091052662727130587509539525147067731511102711993048090996993538142382991")
 
 
+# integrands take one node (x, da, db), da = x - a, db = b - x; on (0, 1)
+# the singular factor 1 - s^(2m) is formed as db * (1 + s + ... + s^(2m-1))
+def _arcsine(node):
+    s, _, db = node
+    return 1 / mp.sqrt(db * (1 + s))
+
+
+def _quartic(node):
+    s, _, db = node
+    return 1 / mp.sqrt(db * (1 + s) * (1 + s * s))
+
+
+def _sextic_odd(node):
+    s, _, db = node
+    return s / mp.sqrt(db * (1 + s + s * s) * (1 + s) * (1 - s + s * s))
+
+
 def _corpus(ctx):
     with ctx.workdps():
         return [
-            (lambda s: 1 / mp.sqrt(1 - s * s), 0, 1, mp.pi / 2),
-            (lambda s: 1 / mp.sqrt(1 - s ** 4), 0, 1, mp.mpf(QUARTER_B_HALF_QUARTER)),
-            (lambda s: s / mp.sqrt(1 - s ** 6), 0, 1, mp.mpf(SIXTH_B_HALF_THIRD)),
-            (lambda s: mp.exp(s), 0, 1, mp.e - 1),
+            (_arcsine, 0, 1, mp.pi / 2),
+            (_quartic, 0, 1, mp.mpf(QUARTER_B_HALF_QUARTER)),
+            (_sextic_odd, 0, 1, mp.mpf(SIXTH_B_HALF_THIRD)),
+            (lambda node: mp.exp(node[0]), 0, 1, mp.e - 1),
         ]
 
 
 class TestTanhSinh:
     def test_arcsine(self, ctx50):
-        r = tanh_sinh(lambda s: 1 / mp.sqrt(1 - s * s), 0, 1, ctx50)
+        r = tanh_sinh(_arcsine, 0, 1, ctx50)
         assert abs(r.value - mp.pi / 2) < mp.mpf(10) ** -50
         assert r.error_estimate >= 0
 
     def test_lemniscatic_period(self, ctx50):
-        r = tanh_sinh(lambda s: 1 / mp.sqrt(1 - s ** 4), 0, 1, ctx50)
+        r = tanh_sinh(_quartic, 0, 1, ctx50)
         assert abs(r.value - mp.mpf(QUARTER_B_HALF_QUARTER)) < mp.mpf(10) ** -50
 
     def test_kiepert_odd_period(self, ctx50):
-        r = tanh_sinh(lambda s: s / mp.sqrt(1 - s ** 6), 0, 1, ctx50)
+        r = tanh_sinh(_sextic_odd, 0, 1, ctx50)
         assert abs(r.value - mp.mpf(SIXTH_B_HALF_THIRD)) < mp.mpf(10) ** -50
 
     def test_error_contract_on_corpus(self, ctx50):
@@ -57,29 +76,34 @@ class TestTanhSinh:
     def test_linearity(self, ctx50):
         f, a, b, truth = _corpus(ctx50)[1]
         for c in (mp.mpf(3), mp.mpf("0.125"), mp.mpf(7) / 11):
-            r = tanh_sinh(lambda s: c * f(s), a, b, ctx50)
+            r = tanh_sinh(lambda node: c * f(node), a, b, ctx50)
             assert abs(r.value - c * truth) < mp.mpf(10) ** -48
 
     def test_interval_additivity(self, ctx50):
-        f, a, b, truth = _corpus(ctx50)[1]
+        truth = _corpus(ctx50)[1][3]
         m = mp.mpf(7) / 10
-        left = tanh_sinh(f, a, m, ctx50).value
-        right = tanh_sinh(f, m, b, ctx50).value
+
+        def f(node):  # 1 - s = (1 - m) + db on (0, m)
+            s, _, db = node
+            return 1 / mp.sqrt(((1 - m) + db) * (1 + s) * (1 + s * s))
+
+        left = tanh_sinh(f, 0, m, ctx50).value
+        right = tanh_sinh(_quartic, m, 1, ctx50).value
         assert abs(left + right - truth) < mp.mpf(10) ** -48
 
     def test_reversed_interval_rejected(self, ctx50):
         with pytest.raises(DomainError):
-            tanh_sinh(lambda s: s, 1, 0, ctx50)
+            tanh_sinh(lambda node: node[0], 1, 0, ctx50)
         with pytest.raises(DomainError):
-            tanh_sinh(lambda s: s, 1, 1, ctx50)
+            tanh_sinh(lambda node: node[0], 1, 1, ctx50)
 
     def test_non_real_integrand(self, ctx50):
         with pytest.raises(IntegrandError):
-            tanh_sinh(lambda s: mp.sqrt(s - 2), 0, 1, ctx50)
+            tanh_sinh(lambda node: mp.sqrt(node[0] - 2), 0, 1, ctx50)
 
     def test_convergence_error_carries_best(self, ctx50):
         with pytest.raises(ConvergenceError) as err:
-            tanh_sinh(lambda s: 1 / mp.sqrt(1 - s * s), 0, 1, ctx50, max_level=1)
+            tanh_sinh(_arcsine, 0, 1, ctx50, max_level=1)
         best = err.value.best
         assert isinstance(best, QuadratureResult)
         assert abs(best.value - mp.pi / 2) < mp.mpf("1e-3")
@@ -87,12 +111,15 @@ class TestTanhSinh:
     def test_never_evaluates_endpoints(self, ctx50):
         seen = []
 
-        def f(s):
-            seen.append(s)
-            return 1 / mp.sqrt((1 - s) * (1 + s))
+        def f(node):
+            seen.append(node)
+            return _arcsine(node)
 
         tanh_sinh(f, 0, 1, ctx50)
-        assert all(0 < s < 1 for s in seen)
+        assert all(da > 0 and db > 0 for _, da, db in seen)
+        # distances are exact complements, down to the node cutoff
+        assert all(abs(da + db - 1) < mp.mpf(10) ** -60 for _, da, db in seen)
+        assert min(db for _, _, db in seen) < mp.mpf(10) ** -100
 
 
 class TestBetaIntegralCheck:
@@ -105,3 +132,20 @@ class TestBetaIntegralCheck:
             beta_integral_check(0, 0, ctx50)
         with pytest.raises(DomainError):
             beta_integral_check(3, 3, ctx50)
+
+
+class TestOneMinusPower:
+    """The singular leaf factor 1 - (1-u)^p, against -expm1(p log1p(-u))."""
+
+    @pytest.mark.parametrize("dps", [85, 1035])
+    def test_against_expm1_log1p(self, dps):
+        with mp.workdps(dps):
+            for p in (Fraction(6), Fraction(2, 7), Fraction(80), Fraction(32, 3)):
+                # both sides of the switch to the series at u = 1e-15
+                for u in (mp.mpf("0.5"), mp.mpf("2e-15"), mp.mpf("9e-16"),
+                          mp.mpf(10) ** -40, mp.mpf(10) ** -(dps + 100)):
+                    got = _one_minus_power(u, p)
+                    with mp.workdps(dps + 40):
+                        ref = -mp.expm1(mp.mpf(p.numerator) / p.denominator * mp.log1p(-u))
+                    # the plain power loses up to 15 of the 20 spare digits
+                    assert abs(got - ref) <= mp.mpf(10) ** -(dps - 20) * ref, (p, u)

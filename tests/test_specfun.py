@@ -1,8 +1,13 @@
+import time
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath import mp
 
-from serretlab.errors import DomainError
+from serretlab import specfun
+from serretlab.curves import Regular, total_length_closed, total_length_quadrature
+from serretlab.errors import ConvergenceError, DomainError
 from serretlab.numkernel import make_context, to_decimal
 from serretlab.quadrature import tanh_sinh
 from serretlab.specfun import beta, carlson_rf, ellip_k, gamma, gauss_value_at_1, hyp2f1
@@ -32,10 +37,21 @@ class TestGamma:
             assert abs(gamma(x, ctx50) - ref) < mp.mpf(10) ** -48 * max(1, abs(ref))
 
     def test_domain(self, ctx50):
-        with pytest.raises(DomainError):
-            gamma(0, ctx50)
-        with pytest.raises(DomainError):
-            gamma(-2.5, ctx50)
+        for pole in (0, -1, -2, -7):
+            with pytest.raises(DomainError):
+                gamma(pole, ctx50)
+        assert gamma(-2.5, ctx50) < 0  # Gamma(-5/2) = -8 sqrt(pi)/15
+
+    @pytest.mark.parametrize("digits", [50, 1000])
+    def test_negative_non_integer(self, digits):
+        # Gamma(x) = Gamma(x + N) / (x (x+1) ... (x+N-1)); the 1 - z route
+        # of 2F1 needs Gamma(-1/k)
+        ctx = make_context(digits)
+        for x in (mp.mpf(-1) / 2, mp.mpf(-1) / 3, mp.mpf(-1) / 5, mp.mpf(-5) / 2,
+                  mp.mpf("-7.25"), mp.mpf(-1) / 1000, -1 + mp.mpf(10) ** -8):
+            with mp.workdps(digits + 40):
+                ref = mpmath.gamma(x)
+            assert abs(gamma(x, ctx) - ref) <= mp.mpf(10) ** -digits * max(1, abs(ref))
 
 
 class TestBeta:
@@ -58,8 +74,9 @@ class TestEllipK:
     def test_defining_integral_oracle(self, ctx50):
         m = mp.mpf(1) / 2
 
-        def f(t):
-            return 1 / mp.sqrt((1 - t * t) * (1 - m * t * t))
+        def f(node):
+            t, _, db = node
+            return 1 / mp.sqrt(db * (1 + t) * (1 - m * t * t))
 
         quad = tanh_sinh(f, 0, 1, ctx50).value
         v = ellip_k(m, ctx50)
@@ -141,6 +158,98 @@ class TestHyp2F1:
             hyp2f1(1, 1, 1, 1, ctx50)                      # r - p - q <= 0 at z = 1
 
 
+class TestHyp2F1NearOne:
+    """The 1 - z route (DLMF 15.8.4) above z = 3/4, against mpmath."""
+
+    # catalog lengths (p = q = (k-1)/2k, r = 1, so r - p - q = 1/k), a
+    # generic triple and one with a negative parameter
+    PARAMS = [(mp.mpf(1) / 4, mp.mpf(1) / 4, 1), (mp.mpf(2) / 5, mp.mpf(2) / 5, 1),
+              (mp.mpf("0.3"), mp.mpf("1.7"), mp.mpf("2.9")),
+              (mp.mpf(-1) / 3, mp.mpf(5) / 2, mp.mpf(7) / 4)]
+
+    @pytest.mark.parametrize("digits", [15, 200, 1000])
+    def test_against_mpmath(self, digits):
+        ctx = make_context(digits)
+        for z in (mp.mpf("0.8"), mp.mpf("0.99"), 1 - mp.mpf(10) ** -6):
+            for p, q, r in self.PARAMS:
+                with ctx.workdps():
+                    zc = +z  # the argument hyp2f1 sees
+                with mp.workdps(digits + 40):
+                    ref = mpmath.hyp2f1(p, q, r, zc)
+                got = hyp2f1(p, q, r, zc, ctx)
+                assert abs(got - ref) <= mp.mpf(10) ** -digits * max(1, abs(ref))
+
+    def test_route_taken_only_above_crossover(self, ctx50, monkeypatch):
+        calls = []
+        route = specfun._one_minus_z
+        monkeypatch.setattr(specfun, "_one_minus_z",
+                            lambda *args: calls.append(args[3]) or route(*args))
+        p, q = mp.mpf(1) / 3, mp.mpf(1) / 4
+        for z in ("0.6", "0.75", "0.76", "-9"):  # -9: Pfaff image 0.9
+            hyp2f1(p, q, 1, mp.mpf(z), ctx50)
+        assert [mp.nstr(z, 3) for z in calls] == ["0.76", "0.9"]
+
+    def test_integer_excess_stays_on_series(self, ctx50, monkeypatch):
+        # r - p - q = 0 (K(m)) and 1: the connection coefficients have poles,
+        # so the direct series runs even at z = 0.95
+        def refuse(*args):
+            raise AssertionError("1 - z route taken")
+
+        monkeypatch.setattr(specfun, "_one_minus_z", refuse)
+        z = mp.mpf("0.95")
+        for p, q, r in ((mp.mpf(1) / 2, mp.mpf(1) / 2, 1), (mp.mpf(1) / 4, mp.mpf(3) / 4, 2)):
+            with mp.workdps(90):
+                ref = mpmath.hyp2f1(p, q, r, z)
+            assert abs(hyp2f1(p, q, r, z, ctx50) - ref) <= mp.mpf(10) ** -50 * max(1, ref)
+
+    def test_series_refuses_a_hopeless_budget(self, ctx50):
+        # integer r - p - q right next to z = 1: the series would need about
+        # 10^14 terms, so it refuses at once instead of grinding
+        start = time.process_time()
+        with pytest.raises(ConvergenceError):
+            hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, 1 - mp.mpf(10) ** -12, ctx50)
+        assert time.process_time() - start < 1
+
+    @pytest.mark.parametrize("z", ["0.3", "0.75", "0.9"])
+    def test_tail_bound_stop(self, z):
+        # ratios rising to z (p + q < r + 1) and falling to z (p + q > r + 1)
+        for p, q, r in ((mp.mpf(1) / 3, mp.mpf(1) / 3, mp.mpf(3)),
+                        (mp.mpf(5) / 2, mp.mpf(7) / 3, mp.mpf(1) / 2)):
+            with mp.workdps(80):
+                got = specfun._series_2f1(p, q, r, mp.mpf(z), 50)
+                ref = mpmath.hyp2f1(p, q, r, mp.mpf(z))
+            assert abs(got - ref) <= mp.mpf(10) ** -50 * max(1, abs(ref))
+
+
+class TestRegularLengthEdge:
+    """Boundary sweep: l(C_(a,k)) as a -> 1 from both sides, against mpmath.
+    The plain 2F1 series needs up to 500,000 terms per value here; the
+    whole sweep has a fixed CPU budget."""
+
+    @staticmethod
+    def _oracle(a, k):
+        p = mp.mpf(k - 1) / (2 * k)
+        if a < 1:
+            return 2 * mp.pi * mpmath.hyp2f1(p, p, 1, a ** (2 * k))
+        return a ** (1 - k) * 2 * mp.pi * mpmath.hyp2f1(p, p, 1, a ** (-2 * k))
+
+    @pytest.mark.parametrize("digits", [15, 200])
+    def test_a_to_one(self, digits):
+        ctx = make_context(digits)
+        start = time.process_time()
+        for k in (2, 3, 5):
+            for j in (2, 4, 6, 8):
+                for a in (1 - Fraction(1, 10 ** j), 1 + Fraction(1, 10 ** j)):
+                    with mp.workdps(digits + 40):
+                        ref = self._oracle(mp.mpf(a.numerator) / a.denominator, k)
+                    got = total_length_closed(Regular(a, k), ctx)
+                    assert abs(got - ref) <= mp.mpf(10) ** -digits * ref, (a, k)
+                    if digits == 15:  # the radial quadrature, as the CLI runs it
+                        quad = total_length_quadrature(Regular(a, k), ctx)
+                        assert abs(quad - ref) <= mp.mpf(10) ** -digits * ref, (a, k)
+        assert time.process_time() - start < 60
+
+
 class TestGaussValueAtOne:
     def test_half_half_two(self, ctx50):
         got = gauss_value_at_1(mp.mpf(1) / 2, mp.mpf(1) / 2, 2, ctx50)
@@ -179,8 +288,9 @@ class TestTransformationProperties:
         for p, q, r, z in grid:
             lhs = beta(q, r - q, ctx50) * hyp2f1(p, q, r, z, ctx50)
 
-            def f(t, p=p, q=q, r=r, z=z):
-                return t ** (q - 1) * (1 - t) ** (r - q - 1) * (1 - z * t) ** (-p)
+            def f(node, p=p, q=q, r=r, z=z):
+                t, da, db = node
+                return da ** (q - 1) * db ** (r - q - 1) * (1 - z * t) ** (-p)
 
             worst = float(min(q - 1, r - q - 1, 0))
             rhs = tanh_sinh(f, 0, 1, ctx50, min_endpoint_exponent=worst).value
