@@ -326,14 +326,25 @@ class TestEnvironment:
         doc = run_json(capsys, "length", "--erdos", "1", "--digits", "25")
         assert doc["digits"] == 25
 
-    def test_import_leaves_numpy_unloaded(self):
+    @staticmethod
+    def _probe(code):
+        """stdout of ``code`` run in a fresh interpreter on this checkout's src."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = "import sys, serretlab.cli; print('numpy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    def test_import_leaves_numpy_unloaded(self):
+        assert self._probe("import sys, serretlab.cli; print('numpy' in sys.modules)") == "False"
+
+    def test_import_leaves_logging_unloaded(self):
+        # only a PSLQ search loads logging, for its debug event
+        assert self._probe(
+            "import io, sys, contextlib, serretlab.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['length', '--erdos', '1', '--digits', '20'])\n"
+            "print('logging' in sys.modules)") == "False"
 
 
 class TestGolden:

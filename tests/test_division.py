@@ -1,3 +1,5 @@
+import json
+import logging
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from mpmath import mp
 
 from serretlab import curves, division, quadrature
 from serretlab.algebra import minpoly
+from serretlab.cli import main
 from serretlab.curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
                               total_length_closed, v_of_u)
 from serretlab.division import (divide_cassini, divide_fundamental_arc, divide_kiepert,
@@ -228,6 +231,34 @@ class TestCassiniCertificate:
         cand = minpoly(y, 8, 10 ** 12, make_context(150))
         assert cand.status == "found" and cand.verified
         assert cand.coeffs in (self.Y_COEFFS, tuple(-c for c in self.Y_COEFFS))
+
+    def test_degree_16_pipeline(self, capsys, caplog):
+        # the README-scale command: cos(u) itself at degree 16, two searches
+        # (17 terms find the relation, 16 terms prove it minimal)
+        caplog.set_level(logging.DEBUG, logger="serretlab.algebra")
+        code = main(["minpoly", "--from", "cassini:a=4/5:n=3", "--max-degree", "16",
+                     "--max-height", "1000000000000", "--digits", "260"])
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0 and row["status"] == "found" and row["minpoly_verified"] is True
+        # Y_COEFFS in x = cos(u), negated for a positive leading coefficient
+        assert row["minpoly"] == (
+            "16777216x^16 - 2100297728x^14 + 31927042048x^12 + 185561595904x^10 "
+            "+ 78022405120x^8 - 124575524096x^6 + 961807042048x^4 + 364275189772x^2 "
+            "- 121643214659")
+        assert row["minpoly_degree"] == 16 and row["minpoly_height"] == 961807042048
+        events = [r.pslq for r in caplog.records if r.name == "serretlab.algebra"]
+        assert [(e["terms"], e["outcome"]) for e in events] == [(17, "relation"), (16, "proof")]
+
+    def test_n3_none_is_a_proof(self, caplog):
+        # acceptance criterion 10's bounds (degree <= 8, height <= 1e6) hold
+        # no relation; the answer comes from one proof, not an exhausted search
+        caplog.set_level(logging.DEBUG, logger="serretlab.algebra")
+        ctx = make_context(100)
+        cand = minpoly(lambda c: divide_cassini(Fraction(4, 5), 3, c).cos_u, 8, 10 ** 6, ctx)
+        assert cand.status == "none"
+        (event,) = [r.pslq for r in caplog.records if r.name == "serretlab.algebra"]
+        assert event["terms"] == 9 and event["outcome"] == "proof"
+        assert event["norm_bound"] > 10 ** 6 * 3
 
 
 class TestSubarcLength:
