@@ -18,6 +18,9 @@ GOLDEN_COMMANDS = {
     "length_regular_a0.8_k2": ["length", "--regular", "a=0.8", "k=2"],
     "divide_erdos3_parts2_d30": ["divide", "--erdos", "3", "--parts", "2", "--digits", "30"],
     "divide_cassini_a4_5_n2_d30": ["divide", "--cassini", "a=4/5", "--n", "2", "--digits", "30"],
+    "divide_erdos2_parts2_minpoly": ["divide", "--erdos", "2", "--parts", "2", "--minpoly"],
+    "divide_cassini_a4_5_n2_minpoly_d100": ["divide", "--cassini", "a=4/5", "--n", "2",
+                                            "--minpoly", "--digits", "100"],
     "identities_d30": ["identities", "--digits", "30"],
     "minpoly_sqrt2_over_2": ["minpoly", "0.70710678118654752440084436210484903928483593768847"],
     "minpoly_const_pi_deg6": ["minpoly", "--const", "pi", "--max-degree", "6"],
