@@ -242,7 +242,7 @@ def _divide_leaf(ns, ctx, curve):
             def refine(c, index=p.index):
                 return division.divide_fundamental_arc(curve, ns.parts, c)[index].s
 
-            cand = algebra.minpoly(refine, cap, ns.max_height, ctx)
+            cand = algebra.minpoly(p.s, cap, ns.max_height, ctx, refine=refine)
             row.update(_minpoly_columns(cand, ctx))
     payload = {
         "command": "divide",
@@ -282,7 +282,8 @@ def _divide_cassini(ns, ctx):
         def refine(c):
             return division.divide_cassini(a, ns.n, c).cos_u
 
-        cand = algebra.minpoly(refine, ns.max_degree or 8, ns.max_height, ctx)
+        cand = algebra.minpoly(result.cos_u, ns.max_degree or 8, ns.max_height, ctx,
+                               refine=refine)
         row.update(_minpoly_columns(cand, ctx))
     payload = {
         "command": "divide",

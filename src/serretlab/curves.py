@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Union
 
@@ -233,8 +232,8 @@ def _closed_regular_lt1(a: Fraction, k: int, ctx: PrecisionContext) -> BigReal:
         return val
 
 
-@lru_cache(maxsize=None)
-def _total_length_closed(curve, ctx) -> BigReal:
+def total_length_closed(curve, ctx: PrecisionContext) -> BigReal:
+    """Total length by closed form (Beta for leaves, 2F1/K for Regular)."""
     with ctx.workdps():
         if isinstance(curve, Erdos):
             n = curve.n
@@ -245,19 +244,18 @@ def _total_length_closed(curve, ctx) -> BigReal:
         if isinstance(curve, Regular):
             if curve.a < 1:
                 return _closed_regular_lt1(curve.a, curve.k, ctx)
-            inv = Regular(1 / curve.a, curve.k)
             scale = as_real(curve.a, ctx) ** (curve.k - 1)
-            return _closed_regular_lt1(inv.a, inv.k, ctx) / scale
+            return _closed_regular_lt1(1 / curve.a, curve.k, ctx) / scale
         raise DomainError("no closed-form length for PolyLemniscate")
 
 
-def total_length_closed(curve, ctx: PrecisionContext) -> BigReal:
-    """Total length by closed form (Beta for leaves, 2F1/K for Regular)."""
-    return _total_length_closed(curve, ctx)
+def total_length_quadrature(curve, ctx: PrecisionContext, route: str = "radial") -> BigReal:
+    """Total length by direct quadrature, independent of the closed forms.
 
-
-@lru_cache(maxsize=None)
-def _total_length_quadrature(curve, ctx, route) -> BigReal:
+    ``route='radial'`` integrates in the radius (default; both endpoint
+    singularities handled by tanh-sinh), ``route='angular'`` uses the
+    smooth angular integral, available for Regular curves.
+    """
     if isinstance(curve, PolyLemniscate):
         raise DomainError("no arc-length quadrature for PolyLemniscate")
     if route not in ("radial", "angular"):
@@ -313,16 +311,6 @@ def _total_length_quadrature(curve, ctx, route) -> BigReal:
             return mp.root(y, k) / mp.sqrt(quart)
 
         return 4 * tanh_sinh(f, y_lo, y_hi, ctx).value
-
-
-def total_length_quadrature(curve, ctx: PrecisionContext, route: str = "radial") -> BigReal:
-    """Total length by direct quadrature, independent of the closed forms.
-
-    ``route='radial'`` integrates in the radius (default; both endpoint
-    singularities handled by tanh-sinh), ``route='angular'`` uses the
-    smooth angular integral, available for Regular curves.
-    """
-    return _total_length_quadrature(curve, ctx, route)
 
 
 def _angular_window(curve, ctx: PrecisionContext):

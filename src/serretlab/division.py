@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp
 
@@ -61,8 +60,8 @@ class CassiniDivision:
 def subarc_length(curve, s_a, s_b, ctx: PrecisionContext) -> BigReal:
     """Arc length between normalized radii s_a <= s_b, by fresh quadrature.
 
-    2^(1/q) int_{s_a}^{s_b} ds / sqrt(1 - s^(2q)); independent of any
-    cached cumulative values, so it can serve as an oracle for them.
+    2^(1/q) int_{s_a}^{s_b} ds / sqrt(1 - s^(2q)); independent of the
+    closed-form F, so it can serve as an oracle for it.
     """
     if not isinstance(curve, (Erdos, Sinusoidal)):
         raise DomainError("subarc_length needs an Erdos or Sinusoidal curve")
@@ -208,11 +207,6 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
     a = Fraction(str(a)) if isinstance(a, float) else Fraction(a)
     if not 0 < a < 1:
         raise DomainError(f"need 0 < a < 1, got {a}")
-    return _divide_cassini_cached(a, n, ctx)
-
-
-@lru_cache(maxsize=None)
-def _divide_cassini_cached(a: Fraction, n: int, ctx: PrecisionContext) -> CassiniDivision:
     curve = Regular(a, 2)
     with ctx.workdps(10):
         av = as_real(a, ctx)

@@ -38,6 +38,7 @@ from .numkernel import BigReal, PrecisionContext, as_real
 
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_ENDPOINT_EXPONENT = -0.5
+MAX_NODE_TABLES = 128  # 1.8x the 71 node tables a whole `lengths` benchmark run holds
 # decimal places evaluated beyond the working digits
 _EVAL_MARGIN = 20
 # below this distance u from a singular endpoint, 1 - (1-u)^p is summed as a
@@ -93,7 +94,7 @@ def _one_minus_power(u, p: Fraction) -> BigReal:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_NODE_TABLES)
 def _nodes(clip_exponent: int, level: int, dps: int) -> tuple:
     """Positive-t nodes introduced at ``level`` (h = 2**-level), at ``dps`` places.
 

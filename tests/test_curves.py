@@ -348,7 +348,6 @@ class TestWorkingPrecision:
 
         for mod in (curves, division):
             monkeypatch.setattr(mod, "tanh_sinh", recording)
-        curves._total_length_quadrature.cache_clear()
         ctx = make_context(50)
         call(ctx)
         assert max(seen) <= ctx.working_digits + 25

@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -184,10 +185,7 @@ class TestSolverCost:
             monkeypatch.setattr(division, attr, counted("F", getattr(division, attr)))
         for mod in (quadrature, curves, division):
             monkeypatch.setattr(mod, "tanh_sinh", counted("tanh_sinh", mod.tanh_sinh))
-        # Cassini results are cached per key; a cached key would cost nothing
-        division._divide_cassini_cached.cache_clear()
-        yield counts
-        division._divide_cassini_cached.cache_clear()
+        return counts
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_leaf_division(self, counts, digits):
@@ -208,6 +206,38 @@ class TestSolverCost:
                 counts["F"] = 0
                 divide_cassini(a, n, ctx)
                 assert counts["F"] - 1 <= 10, (a, n, counts["F"])
+
+
+class TestMinpolyDivisionCost:
+    """`divide --minpoly` divides once at the requested digits; only the
+    +40-digit re-verification of each found relation divides again."""
+
+    @staticmethod
+    def divisions_by_digits(monkeypatch, capsys, name, argv):
+        digits = []
+        solver = getattr(division, name)
+
+        def counted(*args):
+            digits.append(args[-1].digits)
+            return solver(*args)
+
+        monkeypatch.setattr(division, name, counted)
+        assert main(argv) == 0
+        capsys.readouterr()
+        return Counter(digits)
+
+    def test_leaf(self, monkeypatch, capsys):
+        # four interior radii, each verified at 100 digits
+        calls = self.divisions_by_digits(
+            monkeypatch, capsys, "divide_fundamental_arc",
+            ["divide", "--erdos", "1", "--parts", "5", "--minpoly", "--digits", "60"])
+        assert calls == {60: 1, 100: 4}
+
+    def test_cassini(self, monkeypatch, capsys):
+        calls = self.divisions_by_digits(
+            monkeypatch, capsys, "divide_cassini",
+            ["divide", "--cassini", "a=4/5", "--n", "2", "--minpoly", "--digits", "100"])
+        assert calls == {100: 1, 140: 1}
 
 
 class TestCassiniCertificate:

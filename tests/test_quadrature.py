@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import serretlab
 from serretlab.errors import ConvergenceError, DomainError, IntegrandError
 from serretlab.quadrature import QuadratureResult, _one_minus_power, beta_integral_check, tanh_sinh
 
@@ -149,3 +152,16 @@ class TestOneMinusPower:
                         ref = -mp.expm1(mp.mpf(p.numerator) / p.denominator * mp.log1p(-u))
                     # the plain power loses up to 15 of the 20 spare digits
                     assert abs(got - ref) <= mp.mpf(10) ** -(dps - 20) * ref, (p, u)
+
+
+class TestCachePolicy:
+    def test_node_tables_are_the_only_cache_and_bounded(self):
+        # reads each cache's size without filling it: a flood of tables
+        # would evict the ones the other tests reuse
+        caches = {}
+        for info in pkgutil.iter_modules(serretlab.__path__, "serretlab."):
+            for obj in vars(importlib.import_module(info.name)).values():
+                if callable(getattr(obj, "cache_info", None)):
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+        assert all(size is not None for size in caches.values()), caches
+        assert list(caches) == ["serretlab.quadrature._nodes"]
