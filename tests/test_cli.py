@@ -25,6 +25,11 @@ GOLDEN_COMMANDS = {
     "minpoly_sqrt2_over_2": ["minpoly", "0.70710678118654752440084436210484903928483593768847"],
     "minpoly_const_pi_deg6": ["minpoly", "--const", "pi", "--max-degree", "6"],
 }
+# plot commands whose SVG file is pinned byte for byte
+GOLDEN_PLOTS = {
+    # Regular a > 1: k separate ovals, each traced out and back
+    "plot_regular_a3_2_k3": ["plot", "--regular", "a=3/2", "k=3"],
+}
 
 PI_LITERAL = "3.14159265358979323846264338327950288419716939937510582097494"
 SQRT2_OVER_2 = "0.70710678118654752440084436210484903928483593768847403658833987"
@@ -357,3 +362,10 @@ class TestGolden:
         code, out, err = run(capsys, *GOLDEN_COMMANDS[name])
         assert code == 0, err
         assert out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PLOTS))
+    def test_svg_bytes(self, capsys, tmp_path, name):
+        target = tmp_path / f"{name}.svg"
+        code, _, err = run(capsys, *GOLDEN_PLOTS[name], "--out", str(target))
+        assert code == 0, err
+        assert target.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
