@@ -9,13 +9,11 @@ from .curves import (Erdos, PolyLemniscate, Regular, Sinusoidal, cassini_reduced
                      cos_u_of_v, normalized_arc_integral, polar_arc_length, polar_radius,
                      total_length_closed, total_length_quadrature, v_of_u)
 from .division import (CassiniDivision, DivisionPoint, divide_cassini,
-                       divide_fundamental_arc, divide_kiepert, expand_by_symmetry,
-                       subarc_length)
+                       divide_fundamental_arc, expand_by_symmetry, subarc_length)
 from .errors import (ConfigurationError, ConvergenceError, DomainError, IntegrandError,
                      InternalConsistencyError, SerretError, SpuriousRelationError)
 from .identities import IdentityReport, run_all
-from .numkernel import (BigReal, PrecisionContext, elementary, from_decimal,
-                        make_context, pi, to_decimal)
+from .numkernel import BigReal, PrecisionContext, from_decimal, make_context, to_decimal
 from .quadrature import QuadratureResult, beta_integral_check, tanh_sinh
 from .render import Polyline, RenderOptions, emit_svg, mandelbrot_coeffs, trace_implicit, trace_polar
 from .specfun import beta, carlson_rf, ellip_k, gamma, gauss_value_at_1, hyp2f1

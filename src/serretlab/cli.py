@@ -219,6 +219,20 @@ def _minpoly_columns(candidate, ctx):
     }
 
 
+# Recomputable pipeline constants, as the ``refine`` callables of
+# algebra.minpoly.  They look division.<fn> up at each call, so a
+# replaced module attribute (a tracer, a test double) is what runs.
+
+def _leaf_radius(curve, l: int, i: int):
+    """ctx -> s_i of the l-part division of the fundamental half-leaf."""
+    return lambda c: division.divide_fundamental_arc(curve, l, c)[i].s
+
+
+def _cassini_cos_u(a, n: int):
+    """ctx -> cos(u) of the order-n division of the Cassini oval C_a."""
+    return lambda c: division.divide_cassini(a, n, c).cos_u
+
+
 def _divide_leaf(ns, ctx, curve):
     points = division.divide_fundamental_arc(curve, ns.parts, ctx)
     rows = [_point_row(p, ctx) for p in points]
@@ -238,11 +252,8 @@ def _divide_leaf(ns, ctx, curve):
                     algebra.MinPolyCandidate((0, 1) if p.s == 0 else (-1, 1),
                                              1, mp.mpf(0), 1, "found", True), ctx))
                 continue
-
-            def refine(c, index=p.index):
-                return division.divide_fundamental_arc(curve, ns.parts, c)[index].s
-
-            cand = algebra.minpoly(p.s, cap, ns.max_height, ctx, refine=refine)
+            cand = algebra.minpoly(p.s, cap, ns.max_height, ctx,
+                                   refine=_leaf_radius(curve, ns.parts, p.index))
             row.update(_minpoly_columns(cand, ctx))
     payload = {
         "command": "divide",
@@ -252,10 +263,9 @@ def _divide_leaf(ns, ctx, curve):
         "citations": citations,
     }
     if ns.svg_out:
-        expanded = division.expand_by_symmetry(curve, points)
+        expanded = division.expand_by_symmetry(curve, points, ctx)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
-        opts = render.RenderOptions()
-        svg = render.emit_svg(render.trace_polar(curve, 720), markers, opts)
+        svg = render.emit_svg(render.trace_polar(curve, 720), markers, render.RenderOptions())
         with open(ns.svg_out, "w") as fh:
             fh.write(svg)
     _emit(payload, ns.format)
@@ -279,11 +289,8 @@ def _divide_cassini(ns, ctx):
         "arc_residual": to_decimal(result.arc_residual, ctx),
     }
     if ns.minpoly:
-        def refine(c):
-            return division.divide_cassini(a, ns.n, c).cos_u
-
         cand = algebra.minpoly(result.cos_u, ns.max_degree or 8, ns.max_height, ctx,
-                               refine=refine)
+                               refine=_cassini_cos_u(a, ns.n))
         row.update(_minpoly_columns(cand, ctx))
     payload = {
         "command": "divide",
@@ -322,8 +329,7 @@ def cmd_divide(ns) -> int:
 
 def cmd_identities(ns) -> int:
     ctx = make_context(ns.digits)
-    tol_exponent = ns.inject_tolerance_exponent
-    reports = identities.run_all(ctx, tol_exponent)
+    reports = identities.run_all(ctx)
     rows = []
     for r in reports:
         rows.append({
@@ -365,19 +371,11 @@ def _constant_from_spec(spec: str):
         l, i = _integer(kv["l"]), _integer(kv["i"])
         if not 0 <= i <= l:
             raise ConfigurationError(f"index i={i} outside 0..{l}")
-
-        def refine(c):
-            return division.divide_fundamental_arc(Erdos(n), l, c)[i].s
-
-        return refine, f"divide:erdos{n}:l={l}:i={i} (normalized radius s_i)"
+        return _leaf_radius(Erdos(n), l, i), f"divide:erdos{n}:l={l}:i={i} (normalized radius s_i)"
     if parts[0] == "cassini" and len(parts) == 3:
         kv = _parse_kv(parts[1:], {"a", "n"})
         a, n = _fraction(kv["a"]), _integer(kv["n"])
-
-        def refine(c):
-            return division.divide_cassini(a, n, c).cos_u
-
-        return refine, f"cassini:a={a}:n={n} (cos of the division angle u)"
+        return _cassini_cos_u(a, n), f"cassini:a={a}:n={n} (cos of the division angle u)"
     raise ConfigurationError(f"cannot parse constant pipeline {spec!r}")
 
 
@@ -450,7 +448,7 @@ def cmd_plot(ns) -> int:
                 f"--divide must be a multiple of {per_leaf} for this curve")
         ctx = make_context(ns.digits)
         points = division.divide_fundamental_arc(curve, ns.divide // per_leaf, ctx)
-        expanded = division.expand_by_symmetry(curve, points)
+        expanded = division.expand_by_symmetry(curve, points, ctx)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
     svg = render.emit_svg(polylines, markers, opts)
     with open(ns.out, "w") as fh:
@@ -514,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_divide)
 
     p = subs.add_parser("identities", help="run the identity verification suite")
-    p.add_argument("--inject-tolerance-exponent", type=int, default=None,
-                   help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_identities)
 

@@ -149,7 +149,7 @@ def divide_fundamental_arc(curve, l: int, ctx: PrecisionContext) -> tuple:
         return tuple(out)
 
 
-def expand_by_symmetry(curve, points: list) -> list:
+def expand_by_symmetry(curve, points: list, ctx: PrecisionContext) -> list:
     """All 2 * leaves * l division points of the closed curve.
 
     The fundamental points cover the half-leaf from origin to tip; the
@@ -165,33 +165,22 @@ def expand_by_symmetry(curve, points: list) -> list:
         raise ConfigurationError("points must be a divide_fundamental_arc result")
     leaves = curve.leaves
     total_parts = 2 * leaves * l
-    with mp.workdps(mp.dps + 10):
-        qv = mp.mpf(curve.q.numerator) / curve.q.denominator
+    # rising half: origin -> tip at center - arccos(s^q)/q; falling half:
+    # tip -> origin at center + arccos(s^q)/q
+    traversal = [(p, -1) for p in points[:-1]] + [(p, 1) for p in reversed(points[1:])]
+    with ctx.workdps(10):
+        qv = as_real(curve.q, ctx)
         out = []
         for leaf in range(leaves):
             center = 2 * mp.pi * leaf / qv
-            # rising half: origin -> tip, angles center - arccos(s^q)/q
-            for p in points[:-1]:
-                theta = center - p.theta
-                out.append(DivisionPoint(
-                    index=len(out), fraction=Fraction(len(out), total_parts),
-                    s=p.s, radius=p.radius, theta=theta,
-                    x=p.radius * mp.cos(theta), y=p.radius * mp.sin(theta),
-                    residual=p.residual))
-            # falling half: tip -> origin, angles center + arccos(s^q)/q
-            for p in reversed(points[1:]):
-                theta = center + p.theta
+            for p, sign in traversal:
+                theta = center + sign * p.theta
                 out.append(DivisionPoint(
                     index=len(out), fraction=Fraction(len(out), total_parts),
                     s=p.s, radius=p.radius, theta=theta,
                     x=p.radius * mp.cos(theta), y=p.radius * mp.sin(theta),
                     residual=p.residual))
         return tuple(out)
-
-
-def divide_kiepert(l: int, ctx: PrecisionContext) -> list:
-    """Division of the three-leaf lemniscate: F uses exponent 6, radii 2^(1/3) s."""
-    return divide_fundamental_arc(Erdos(3), l, ctx)
 
 
 def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:

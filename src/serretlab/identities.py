@@ -29,18 +29,15 @@ class IdentityReport:
     passed: bool
 
 
-def _assemble(name, rows, tol_offset, ctx, tol_exponent=None):
+def _assemble(name, rows, tol_offset, ctx):
     with ctx.workdps():
-        if tol_exponent is not None:
-            tol = mp.mpf(10) ** tol_exponent
-        else:
-            tol = mp.mpf(10) ** (-ctx.digits + tol_offset)
+        tol = mp.mpf(10) ** (-ctx.digits + tol_offset)
         grid = tuple(g for g, _ in rows)
         worst = max((r for _, r in rows), default=mp.mpf(0))
         return IdentityReport(name, grid, worst, tol, bool(worst <= tol))
 
 
-def check_pfaff(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
+def check_pfaff(ctx: PrecisionContext) -> IdentityReport:
     """2F1(p,q,r;z) = (1-z)^-p 2F1(p, r-q, r; z/(z-1))."""
     rows = []
     with ctx.workdps():
@@ -52,10 +49,10 @@ def check_pfaff(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
                         lhs = hyp2f1(pv, qv, rv, zv, ctx)
                         rhs = (1 - zv) ** (-pv) * hyp2f1(pv, rv - qv, rv, zv / (zv - 1), ctx)
                         rows.append(((p, q, r, z), abs(lhs - rhs)))
-    return _assemble("pfaff", rows, 3, ctx, tol_exponent)
+    return _assemble("pfaff", rows, 3, ctx)
 
 
-def check_quadratic(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
+def check_quadratic(ctx: PrecisionContext) -> IdentityReport:
     """2F1(p,q,2q; 4z/(1+z)^2) = (1+z)^2p 2F1(p, p-q+1/2, q+1/2; z^2)."""
     rows = []
     with ctx.workdps():
@@ -67,10 +64,10 @@ def check_quadratic(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
                     rhs = (1 + zv) ** (2 * pv) * hyp2f1(
                         pv, pv - qv + mp.mpf(1) / 2, qv + mp.mpf(1) / 2, zv ** 2, ctx)
                     rows.append(((p, q, z), abs(lhs - rhs)))
-    return _assemble("quadratic", rows, 3, ctx, tol_exponent)
+    return _assemble("quadratic", rows, 3, ctx)
 
 
-def check_hypgeoell(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
+def check_hypgeoell(ctx: PrecisionContext) -> IdentityReport:
     """2F1(1/4, 3/4, 1; z/(z-1)) = (2 (1-z)^(1/4) / pi) K((1 - sqrt(1-z))/2)."""
     rows = []
     with ctx.workdps():
@@ -79,10 +76,10 @@ def check_hypgeoell(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
             lhs = hyp2f1(mp.mpf(1) / 4, mp.mpf(3) / 4, 1, zv / (zv - 1), ctx)
             rhs = 2 * (1 - zv) ** (mp.mpf(1) / 4) / mp.pi * ellip_k((1 - mp.sqrt(1 - zv)) / 2, ctx)
             rows.append(((z,), abs(lhs - rhs)))
-    return _assemble("hypgeoell", rows, 3, ctx, tol_exponent)
+    return _assemble("hypgeoell", rows, 3, ctx)
 
 
-def check_gauss_beta_bridge(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
+def check_gauss_beta_bridge(ctx: PrecisionContext) -> IdentityReport:
     """2 pi 2F1((k-1)/2k, (k-1)/2k, 1; 1) = 2^(1/k) B(1/2, 1/(2k))."""
     rows = []
     with ctx.workdps():
@@ -91,10 +88,10 @@ def check_gauss_beta_bridge(ctx: PrecisionContext, tol_exponent=None) -> Identit
             lhs = 2 * mp.pi * gauss_value_at_1(pv, pv, mp.mpf(1), ctx)
             rhs = 2 ** (mp.mpf(1) / k) * beta(mp.mpf(1) / 2, mp.mpf(1) / (2 * k), ctx)
             rows.append(((k,), abs(lhs - rhs)))
-    return _assemble("gauss_beta_bridge", rows, 3, ctx, tol_exponent)
+    return _assemble("gauss_beta_bridge", rows, 3, ctx)
 
 
-def check_beta_ratios(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
+def check_beta_ratios(ctx: PrecisionContext) -> IdentityReport:
     """B(1/2,1/10)/B(1/2,2/5) = sqrt(5+2 sqrt 5);
     B(1/2,1/5)/B(1/2,3/10) = sqrt(1+2/sqrt 5); Gamma(1/2)^2 = pi."""
     rows = []
@@ -105,10 +102,10 @@ def check_beta_ratios(ctx: PrecisionContext, tol_exponent=None) -> IdentityRepor
         r2 = beta(half, mp.mpf(1) / 5, ctx) / beta(half, mp.mpf(3) / 10, ctx)
         rows.append((("B ratio 1/5 : 3/10",), abs(r2 - mp.sqrt(1 + 2 / mp.sqrt(5)))))
         rows.append((("Gamma(1/2)^2",), abs(gamma(half, ctx) ** 2 - mp.pi)))
-    return _assemble("beta_ratios", rows, 3, ctx, tol_exponent)
+    return _assemble("beta_ratios", rows, 3, ctx)
 
 
-def check_scaling_law(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
+def check_scaling_law(ctx: PrecisionContext) -> IdentityReport:
     """l(C_{a,k}) = a^-(k-1) l(C_{1/a,k}) for a > 1, quadrature vs closed form."""
     rows = []
     with ctx.workdps():
@@ -118,10 +115,10 @@ def check_scaling_law(ctx: PrecisionContext, tol_exponent=None) -> IdentityRepor
                 lhs = total_length_quadrature(Regular(a, k), ctx)
                 rhs = av ** (-(k - 1)) * total_length_closed(Regular(1 / a, k), ctx)
                 rows.append(((a, k), abs(lhs - rhs)))
-    return _assemble("scaling_law", rows, 5, ctx, tol_exponent)
+    return _assemble("scaling_law", rows, 5, ctx)
 
 
-def check_period_ratio_genus2(ctx: PrecisionContext, tol_exponent=None) -> IdentityReport:
+def check_period_ratio_genus2(ctx: PrecisionContext) -> IdentityReport:
     """int_0^1 dt / ((1-bt)^(1/4) sqrt(t(1-t))) = 2 sqrt(1+a^2) K((1-sqrt(1-a^4))/2)
     with b = 4a^2/(1+a^2)^2: the genus-2 period of the quartic
     y^4 = (1-bx) x^2 (1-x)^2 is an algebraic multiple of an elliptic period."""
@@ -139,7 +136,7 @@ def check_period_ratio_genus2(ctx: PrecisionContext, tol_exponent=None) -> Ident
             lhs = tanh_sinh(f, 0, 1, ctx).value
             rhs = 2 * mp.sqrt(1 + av ** 2) * ellip_k((1 - mp.sqrt(1 - av ** 4)) / 2, ctx)
             rows.append(((a,), abs(lhs - rhs)))
-    return _assemble("period_ratio_genus2", rows, 5, ctx, tol_exponent)
+    return _assemble("period_ratio_genus2", rows, 5, ctx)
 
 
 ALL_CHECKS = (
@@ -153,6 +150,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all(ctx: PrecisionContext, tol_exponent=None) -> list:
+def run_all(ctx: PrecisionContext) -> list:
     """All identity reports, in a fixed order."""
-    return [chk(ctx, tol_exponent) for chk in ALL_CHECKS]
+    return [chk(ctx) for chk in ALL_CHECKS]

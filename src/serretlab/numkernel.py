@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 BigReal = mpmath.mpf
 
@@ -30,14 +30,11 @@ class PrecisionContext:
     """Requested decimal accuracy; arithmetic runs GUARD_DIGITS above it.
 
     Immutable and shareable; operations taking a context never mutate it.
+    :func:`make_context` bounds the digits a caller asks for; internal
+    contexts from :meth:`bumped` may go past ``MAX_DIGITS``.
     """
 
     digits: int
-
-    def __post_init__(self):
-        if not (MIN_DIGITS <= self.digits <= MAX_DIGITS):
-            raise ConfigurationError(
-                f"digits must be in [{MIN_DIGITS}, {MAX_DIGITS}], got {self.digits}")
 
     @property
     def working_digits(self) -> int:
@@ -56,6 +53,8 @@ def make_context(digits: int) -> PrecisionContext:
     """Validate and build a :class:`PrecisionContext`."""
     if not isinstance(digits, int) or isinstance(digits, bool):
         raise ConfigurationError(f"digits must be an integer, got {digits!r}")
+    if not MIN_DIGITS <= digits <= MAX_DIGITS:
+        raise ConfigurationError(f"digits must be in [{MIN_DIGITS}, {MAX_DIGITS}], got {digits}")
     return PrecisionContext(digits)
 
 
@@ -71,74 +70,6 @@ def as_real(x, ctx: PrecisionContext) -> BigReal:
         if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(x, int):
             return mp.mpf(x.numerator) / x.denominator
         return mp.mpf(x)
-
-
-def pi(ctx: PrecisionContext) -> BigReal:
-    """pi to context accuracy."""
-    with ctx.workdps():
-        return +mp.pi
-
-
-_UNARY = {"sqrt", "exp", "log", "sin", "cos"}
-_BINARY = {"add", "sub", "mul", "div", "pow", "atan2"}
-ELEMENTARY_OPS = sorted(_UNARY | _BINARY)
-
-
-def elementary(op: str, *args, ctx: PrecisionContext) -> BigReal:
-    """Apply one elementary operation under the context's accuracy contract.
-
-    Domain rules: sqrt needs arg >= 0, log needs arg > 0, div a nonzero
-    divisor; pow(x, p) needs x > 0 (any real p) or x = 0 with p > 0;
-    atan2(y, x) rejects (0, 0).  There are no signed zeros or infinities:
-    every domain violation raises :class:`DomainError`.
-    """
-    expected = 1 if op in _UNARY else 2 if op in _BINARY else None
-    if expected is None:
-        raise ConfigurationError(f"unknown elementary op {op!r}")
-    if len(args) != expected:
-        raise ConfigurationError(f"{op} takes {expected} argument(s), got {len(args)}")
-
-    with ctx.workdps():
-        vals = [as_real(a, ctx) for a in args]
-        if op == "add":
-            return vals[0] + vals[1]
-        if op == "sub":
-            return vals[0] - vals[1]
-        if op == "mul":
-            return vals[0] * vals[1]
-        if op == "div":
-            if vals[1] == 0:
-                raise DomainError("division by zero")
-            return vals[0] / vals[1]
-        if op == "sqrt":
-            if vals[0] < 0:
-                raise DomainError(f"sqrt of negative value {vals[0]}")
-            return mp.sqrt(vals[0])
-        if op == "pow":
-            x, p = vals
-            if x < 0:
-                raise DomainError(f"pow with negative base {x}")
-            if x == 0:
-                if p <= 0:
-                    raise DomainError("pow(0, p) needs p > 0")
-                return mp.mpf(0)
-            return mp.power(x, p)
-        if op == "exp":
-            return mp.exp(vals[0])
-        if op == "log":
-            if vals[0] <= 0:
-                raise DomainError(f"log of nonpositive value {vals[0]}")
-            return mp.log(vals[0])
-        if op == "sin":
-            return mp.sin(vals[0])
-        if op == "cos":
-            return mp.cos(vals[0])
-        if op == "atan2":
-            y, x = vals
-            if x == 0 and y == 0:
-                raise DomainError("atan2(0, 0) is undefined")
-            return mp.atan2(y, x)
-    raise AssertionError("unreachable")
 
 
 def to_decimal(x, ctx: PrecisionContext) -> str:

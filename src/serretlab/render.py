@@ -29,14 +29,16 @@ class Polyline:
             raise ConfigurationError("consecutive polyline points must be distinct")
 
 
+# every SVG is a square viewport of this many pixels, drawn in two colours
+VIEWPORT_PX = 640
+STROKE = "#204080"
+MARKER_FILL = "#c02020"
+
+
 @dataclass(frozen=True)
 class RenderOptions:
-    width_px: int = 640
-    height_px: int = 640
     bbox: tuple = (-2.25, -2.25, 2.25, 2.25)
     grid_resolution: int = 512
-    stroke: str = "#204080"
-    marker_style: str = "#c02020"
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.bbox
@@ -92,25 +94,19 @@ def trace_polar(curve, samples: int = 360) -> list:
         return [Polyline(tuple(pts), True)]
 
     # a > 1: k separate ovals; the one crossing the positive x-axis spans
-    # |k theta| <= arcsin(a^-k), outer branch out, inner branch back
+    # |k theta| <= arcsin(a^-k), outer branch (+ root) out, inner branch
+    # (- root) back
     theta_star = math.asin(1 / ak) / k
+    walk = [(j, 1) for j in range(samples)] + [(j, -1) for j in range(samples - 2, 0, -1)]
     out = []
     for comp in range(k):
         center = 2 * math.pi * comp / k
         pts = []
-        for j in range(samples):
+        for j, sign in walk:
             phi = -theta_star + j * (2 * theta_star) / (samples - 1)
             s = math.sin(k * phi)
             root = math.sqrt(max(1 - ak * ak * s * s, 0.0))
-            rk = ak * math.cos(k * phi) + root
-            theta = center + phi
-            r = rk ** (1 / k)
-            pts.append((r * math.cos(theta), r * math.sin(theta)))
-        for j in range(samples - 2, 0, -1):
-            phi = -theta_star + j * (2 * theta_star) / (samples - 1)
-            s = math.sin(k * phi)
-            root = math.sqrt(max(1 - ak * ak * s * s, 0.0))
-            rk = ak * math.cos(k * phi) - root
+            rk = ak * math.cos(k * phi) + sign * root
             theta = center + phi
             r = max(rk, 0.0) ** (1 / k)
             pts.append((r * math.cos(theta), r * math.sin(theta)))
@@ -264,12 +260,12 @@ def trace_implicit(poly: PolyLemniscate, opts: RenderOptions) -> list:
 
 def _to_pixels(pts, opts: RenderOptions):
     xmin, ymin, xmax, ymax = (float(v) for v in opts.bbox)
-    scale = min(opts.width_px / (xmax - xmin), opts.height_px / (ymax - ymin))
+    scale = VIEWPORT_PX / max(xmax - xmin, ymax - ymin)
     cx, cy = (xmin + xmax) / 2, (ymin + ymax) / 2
     out = []
     for x, y in pts:
-        px = (float(x) - cx) * scale + opts.width_px / 2
-        py = opts.height_px / 2 - (float(y) - cy) * scale
+        px = (float(x) - cx) * scale + VIEWPORT_PX / 2
+        py = VIEWPORT_PX / 2 - (float(y) - cy) * scale
         out.append((px, py))
     return out
 
@@ -278,25 +274,25 @@ def emit_svg(curves, markers, opts: RenderOptions) -> str:
     """Deterministic SVG 1.1 document: curve paths plus labeled markers.
 
     ``markers`` is a list of (x, y, label) in curve coordinates; the
-    bbox maps to the pixel viewport with the aspect ratio preserved.
+    bbox maps to the VIEWPORT_PX square with the aspect ratio preserved.
     """
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{opts.width_px}" height="{opts.height_px}" '
-        f'viewBox="0 0 {opts.width_px} {opts.height_px}">',
-        f'  <rect width="{opts.width_px}" height="{opts.height_px}" fill="white"/>',
+        f'width="{VIEWPORT_PX}" height="{VIEWPORT_PX}" '
+        f'viewBox="0 0 {VIEWPORT_PX} {VIEWPORT_PX}">',
+        f'  <rect width="{VIEWPORT_PX}" height="{VIEWPORT_PX}" fill="white"/>',
     ]
     for pl in curves:
         pix = _to_pixels(pl.points, opts)
         d = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in pix)
         if pl.closed:
             d += " Z"
-        lines.append(f'  <path d="{d}" fill="none" stroke="{opts.stroke}" stroke-width="1.5"/>')
+        lines.append(f'  <path d="{d}" fill="none" stroke="{STROKE}" stroke-width="1.5"/>')
     for x, y, label in markers:
         (px, py), = _to_pixels([(x, y)], opts)
         lines.append(f'  <circle class="marker" cx="{px:.3f}" cy="{py:.3f}" r="4" '
-                     f'fill="{opts.marker_style}"/>')
+                     f'fill="{MARKER_FILL}"/>')
         lines.append(f'  <text x="{px + 6:.3f}" y="{py - 6:.3f}" font-size="11" '
                      f'font-family="monospace">{label}</text>')
     lines.append("</svg>")

@@ -20,8 +20,8 @@ from serretlab.algebra import documented_degree_bound, minpoly, pslq
 from serretlab.cli import main
 from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
                               total_length_closed, total_length_quadrature)
-from serretlab.division import (divide_cassini, divide_fundamental_arc, divide_kiepert,
-                                expand_by_symmetry, subarc_length)
+from serretlab.division import (divide_cassini, divide_fundamental_arc, expand_by_symmetry,
+                                subarc_length)
 from serretlab.numkernel import make_context
 from serretlab.quadrature import beta_integral_check
 from serretlab.render import RenderOptions, trace_implicit
@@ -155,7 +155,7 @@ def test_criterion_09_kiepert_division():
     for parts in (2, 3):
         for i in range(1, parts):
             cand = minpoly(
-                lambda c, i=i, parts=parts: divide_kiepert(parts, c)[i].s,
+                lambda c, i=i, parts=parts: divide_fundamental_arc(Erdos(3), parts, c)[i].s,
                 16, 10 ** 6, ctx)
             good = (cand.status == "found" and cand.verified
                     and cand.degree <= 16 and cand.height <= 10 ** 6
@@ -163,7 +163,7 @@ def test_criterion_09_kiepert_division():
             ok = ok and good
             details.append(f"l={parts} i={i} deg {cand.degree} h {cand.height}")
         # partition: the 6l sub-arcs of the closed curve re-integrate equally
-        pts = expand_by_symmetry(Erdos(3), divide_kiepert(parts, ctx))
+        pts = expand_by_symmetry(Erdos(3), divide_fundamental_arc(Erdos(3), parts, ctx), ctx)
         with ctx.workdps():
             piece = total_length_closed(Erdos(3), ctx) / (6 * parts)
             for p, q in zip(pts, list(pts[1:]) + [pts[0]]):

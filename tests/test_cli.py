@@ -221,12 +221,21 @@ class TestIdentities:
         assert doc["summary"]["passed"] is True
         assert len(doc["results"]) == 7
 
-    def test_injected_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "identities", "--digits", "30",
-                           "--inject-tolerance-exponent", "-80")
+    def test_injected_tolerance_fails(self, capsys, monkeypatch):
+        from serretlab import identities
+
+        def failing(ctx):
+            return identities.IdentityReport("always_fails", ((1,),), mp.mpf(1),
+                                             mp.mpf(10) ** -27, False)
+
+        monkeypatch.setattr(identities, "ALL_CHECKS", (failing,))
+        code, out, _ = run(capsys, "identities", "--digits", "30")
         assert code == 1
         doc = json.loads(out)
-        assert doc["summary"]["failed"]
+        assert doc["summary"] == {"passed": False, "checks": 1, "failed": ["always_fails"]}
+
+    def test_no_tolerance_option(self, capsys):
+        assert run(capsys, "identities", "--inject-tolerance-exponent", "-80")[0] == 2
 
 
 class TestMinpoly:
@@ -239,6 +248,15 @@ class TestMinpoly:
     def test_pi_rejection(self, capsys):
         doc = run_json(capsys, "minpoly", "--const", "pi", "--max-degree", "6")
         assert doc["results"][0]["status"] == "none"
+
+    def test_const_at_top_digits(self, capsys):
+        # the +40-digit re-verification runs above the 1000 digits a caller may ask for
+        doc = run_json(capsys, "minpoly", "--const", "sqrt2", "--max-degree", "2",
+                       "--digits", "1000")
+        row = doc["results"][0]
+        assert row["minpoly"] == "x^2 - 2"
+        assert row["minpoly_verified"] is True
+        assert run(capsys, "minpoly", "--const", "sqrt2", "--digits", "1001")[0] == 2
 
     def test_phi_verified(self, capsys):
         doc = run_json(capsys, "minpoly", "--const", "phi", "--max-degree", "4")

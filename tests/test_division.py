@@ -11,8 +11,8 @@ from serretlab.algebra import minpoly
 from serretlab.cli import main
 from serretlab.curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
                               total_length_closed, v_of_u)
-from serretlab.division import (divide_cassini, divide_fundamental_arc, divide_kiepert,
-                                expand_by_symmetry, subarc_length)
+from serretlab.division import (divide_cassini, divide_fundamental_arc, expand_by_symmetry,
+                                subarc_length)
 from serretlab.errors import ConfigurationError, DomainError
 from serretlab.numkernel import make_context
 
@@ -76,13 +76,13 @@ class TestDivideFundamentalArc:
 
 class TestExpandBySymmetry:
     def test_circle_antipodal(self, ctx50):
-        pts = expand_by_symmetry(Erdos(1), divide_fundamental_arc(Erdos(1), 1, ctx50))
+        pts = expand_by_symmetry(Erdos(1), divide_fundamental_arc(Erdos(1), 1, ctx50), ctx50)
         assert len(pts) == 2
         coords = [(round(float(p.x), 10), round(float(p.y), 10)) for p in pts]
         assert (0.0, 0.0) in coords and (2.0, 0.0) in coords
 
     def test_lemniscate_four_points(self, ctx50):
-        pts = expand_by_symmetry(Erdos(2), divide_fundamental_arc(Erdos(2), 1, ctx50))
+        pts = expand_by_symmetry(Erdos(2), divide_fundamental_arc(Erdos(2), 1, ctx50), ctx50)
         assert len(pts) == 4
         coords = {(round(float(p.x), 8), round(float(p.y), 8)) for p in pts}
         r = round(float(2 ** mp.mpf("0.5")), 8)
@@ -92,7 +92,7 @@ class TestExpandBySymmetry:
     def test_kiepert_twelve_points_equal_arcs(self, ctx50):
         curve = Erdos(3)
         fund = divide_fundamental_arc(curve, 2, ctx50)
-        pts = expand_by_symmetry(curve, fund)
+        pts = expand_by_symmetry(curve, fund, ctx50)
         assert len(pts) == 12
         assert [p.index for p in pts] == list(range(12))
         total = total_length_closed(curve, ctx50)
@@ -104,27 +104,43 @@ class TestExpandBySymmetry:
             assert abs(arc - total / 12) < tol
 
     def test_fractions_of_whole(self, ctx50):
-        pts = expand_by_symmetry(Erdos(2), divide_fundamental_arc(Erdos(2), 2, ctx50))
+        pts = expand_by_symmetry(Erdos(2), divide_fundamental_arc(Erdos(2), 2, ctx50), ctx50)
         assert [p.fraction for p in pts] == [Fraction(i, 8) for i in range(8)]
 
     def test_rejects_foreign_list(self, ctx50):
         pts = divide_fundamental_arc(Erdos(2), 2, ctx50)
         with pytest.raises(ConfigurationError):
-            expand_by_symmetry(Erdos(2), pts[1:])
+            expand_by_symmetry(Erdos(2), pts[1:], ctx50)
+
+    @pytest.mark.parametrize("curve,l", [(Erdos(3), 2), (Erdos(2), 3), (Sinusoidal(1, 3), 2)],
+                             ids=["erdos3-l2", "erdos2-l3", "sinusoidal1_3-l2"])
+    def test_meets_the_context_contract(self, curve, l):
+        # run at the 15 digits that the CLI leaves ambient, every coordinate
+        # matches a 100-digit recomputation to 1e-50
+        lo, hi = make_context(50), make_context(100)
+        with mp.workdps(15):
+            got = expand_by_symmetry(curve, divide_fundamental_arc(curve, l, lo), lo)
+        want = expand_by_symmetry(curve, divide_fundamental_arc(curve, l, hi), hi)
+        assert len(got) == len(want) == 2 * curve.leaves * l
+        with mp.workdps(120):
+            for p, q in zip(got, want):
+                for name in ("s", "radius", "theta", "x", "y"):
+                    a, b = getattr(p, name), getattr(q, name)
+                    assert abs(a - b) <= mp.mpf(10) ** -50 * max(1, abs(b)), (p.index, name)
 
 
 class TestDivideKiepert:
     def test_tip_radius(self, ctx50):
-        pts = divide_kiepert(1, ctx50)
+        pts = divide_fundamental_arc(Erdos(3), 1, ctx50)
         assert abs(pts[-1].radius - 2 ** (mp.mpf(1) / 3)) < mp.mpf(10) ** -49
 
     def test_half_point_polynomial(self, ctx50):
         # golden: minimal polynomial of the l=2 midpoint is 2x^4 + 2x^2 - 1
-        s1 = divide_kiepert(2, ctx50)[1].s
+        s1 = divide_fundamental_arc(Erdos(3), 2, ctx50)[1].s
         assert abs(2 * s1 ** 4 + 2 * s1 ** 2 - 1) < mp.mpf(10) ** -48
 
     def test_thirds_residuals(self, ctx50):
-        pts = divide_kiepert(3, ctx50)
+        pts = divide_fundamental_arc(Erdos(3), 3, ctx50)
         assert all(p.residual < mp.mpf(10) ** -45 for p in pts)
         # golden: s_2 = 2^(-1/3)
         assert abs(2 * pts[2].s ** 3 - 1) < mp.mpf(10) ** -48

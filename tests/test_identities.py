@@ -1,9 +1,10 @@
 import pytest
 from mpmath import mp
 
-from serretlab.identities import (ALL_CHECKS, check_beta_ratios, check_gauss_beta_bridge,
-                                  check_hypgeoell, check_pfaff, check_period_ratio_genus2,
-                                  check_quadratic, check_scaling_law, run_all)
+from serretlab.identities import (ALL_CHECKS, _assemble, check_beta_ratios,
+                                  check_gauss_beta_bridge, check_hypgeoell, check_pfaff,
+                                  check_period_ratio_genus2, check_quadratic,
+                                  check_scaling_law, run_all)
 from serretlab.numkernel import make_context, to_decimal
 
 EXPECTED_NAMES = ["pfaff", "quadratic", "hypgeoell", "gauss_beta_bridge",
@@ -46,8 +47,14 @@ class TestSuite:
             assert a.grid == b.grid
 
     def test_injected_tolerance_forces_failure(self, ctx30):
-        reports = run_all(ctx30, tol_exponent=-80)
-        assert any(not r.passed for r in reports)
+        # the tolerance boundary 10^-(digits-3): a residual just above fails
+        with mp.workdps(60):
+            tol = mp.mpf(10) ** -27
+            above = _assemble("x", [((1,), tol * (1 + mp.mpf(10) ** -20))], 3, ctx30)
+            below = _assemble("x", [((1,), tol * (1 - mp.mpf(10) ** -20))], 3, ctx30)
+        assert not above.passed and below.passed
+        assert above.tolerance == below.tolerance
+        assert abs(above.tolerance - tol) <= tol * mp.mpf(10) ** -40
 
 
 class TestIndividualChecks:

@@ -160,9 +160,10 @@ class TestEmitSvg:
         assert emit_svg(pls, [(1.0, 0.0, "A")], opts) == emit_svg(pls, [(1.0, 0.0, "A")], opts)
 
     def test_aspect_preserved(self):
-        # wide viewport, square bbox: x-extent must not stretch
-        opts = RenderOptions(width_px=1000, height_px=500, bbox=(-1, -1, 1, 1))
+        # square viewport, tall bbox: x-extent must not stretch
+        opts = RenderOptions(bbox=(-1, -2, 1, 2))
         square = Polyline(((-1, -1), (1, -1), (1, 1), (-1, 1)), True)
         svg = emit_svg([square], [], opts)
-        # pixels per unit = min(1000/2, 500/2) = 250 -> x in [250, 750]
-        assert "M 250.000" in svg
+        # pixels per unit = min(640/2, 640/4) = 160 -> x in [160, 480]
+        assert "M 160.000" in svg
+        assert 'width="640" height="640"' in svg
