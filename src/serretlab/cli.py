@@ -265,7 +265,8 @@ def _divide_leaf(ns, ctx, curve):
     if ns.svg_out:
         expanded = division.expand_by_symmetry(curve, points, ctx)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
-        svg = render.emit_svg(render.trace_polar(curve, 720), markers, render.RenderOptions())
+        opts = render.RenderOptions()
+        svg = render.emit_svg(render.trace_polar(curve, 720), markers, opts)
         with open(ns.svg_out, "w") as fh:
             fh.write(svg)
     _emit(payload, ns.format)
