@@ -11,7 +11,8 @@ from mpmath import mp
 from serretlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-# README commands whose JSON output is pinned byte for byte
+# commands whose stdout is pinned byte for byte, in the file named after the
+# command with the suffix of its --format (JSON by default)
 GOLDEN_COMMANDS = {
     "length_erdos1": ["length", "--erdos", "1"],
     "length_sinusoidal_1_2": ["length", "--sinusoidal", "1/2"],
@@ -24,11 +25,19 @@ GOLDEN_COMMANDS = {
     "identities_d30": ["identities", "--digits", "30"],
     "minpoly_sqrt2_over_2": ["minpoly", "0.70710678118654752440084436210484903928483593768847"],
     "minpoly_const_pi_deg6": ["minpoly", "--const", "pi", "--max-degree", "6"],
+    "divide_erdos2_parts2_minpoly_csv": ["divide", "--erdos", "2", "--parts", "2", "--minpoly",
+                                         "--format", "csv"],
+    "divide_cassini_a4_5_n2_d30_text": ["divide", "--cassini", "a=4/5", "--n", "2",
+                                        "--digits", "30", "--format", "text"],
 }
-# plot commands whose SVG file is pinned byte for byte
+SUFFIX = {"json": "json", "csv": "csv", "text": "txt"}
+# commands whose SVG file is pinned byte for byte; each ends with the flag
+# that names the file
 GOLDEN_PLOTS = {
     # Regular a > 1: k separate ovals, each traced out and back
-    "plot_regular_a3_2_k3": ["plot", "--regular", "a=3/2", "k=3"],
+    "plot_regular_a3_2_k3": ["plot", "--regular", "a=3/2", "k=3", "--out"],
+    "divide_cassini_a4_5_n2_d30": ["divide", "--cassini", "a=4/5", "--n", "2", "--digits", "30",
+                                   "--svg-out"],
 }
 
 PI_LITERAL = "3.14159265358979323846264338327950288419716939937510582097494"
@@ -376,14 +385,18 @@ class TestEnvironment:
 class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
     def test_json_bytes(self, capsys, monkeypatch, name):
+        """stdout, byte for byte; JSON unless the command names another --format."""
         monkeypatch.delenv("SERRET_DIGITS", raising=False)
-        code, out, err = run(capsys, *GOLDEN_COMMANDS[name])
+        argv = GOLDEN_COMMANDS[name]
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        code, out, err = run(capsys, *argv)
         assert code == 0, err
-        assert out == (GOLDEN / f"{name}.json").read_text()
+        assert out == (GOLDEN / f"{name}.{SUFFIX[fmt]}").read_text()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_PLOTS))
-    def test_svg_bytes(self, capsys, tmp_path, name):
+    def test_svg_bytes(self, capsys, monkeypatch, tmp_path, name):
+        monkeypatch.delenv("SERRET_DIGITS", raising=False)
         target = tmp_path / f"{name}.svg"
-        code, _, err = run(capsys, *GOLDEN_PLOTS[name], "--out", str(target))
+        code, _, err = run(capsys, *GOLDEN_PLOTS[name], str(target))
         assert code == 0, err
         assert target.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()

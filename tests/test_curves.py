@@ -8,7 +8,7 @@ from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
                               cassini_reduced_integral, cos_u_of_v, exponent_2q,
                               normalized_arc_integral, polar_arc_length, polar_radius,
                               total_length_closed, total_length_quadrature, v_of_u)
-from serretlab.division import subarc_length
+from serretlab.division import divide_fundamental_arc, subarc_length
 from serretlab.errors import ConfigurationError, DomainError
 from serretlab.numkernel import make_context
 from serretlab.quadrature import tanh_sinh
@@ -44,6 +44,19 @@ class TestCurveSpecs:
             PolyLemniscate((1,))
         with pytest.raises(ConfigurationError):
             PolyLemniscate((1, 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_erdos_is_the_integer_sinusoidal_spiral(self, ctx50, n):
+        # r^n = 2 cos(n theta) is the sinusoidal spiral with q = n: the two
+        # spellings give the same bits (mpf equality is exact)
+        erdos, spiral = Erdos(n), Sinusoidal(n, 1)
+        assert total_length_closed(erdos, ctx50) == total_length_closed(spiral, ctx50)
+        assert (normalized_arc_integral(exponent_2q(erdos), 1, ctx50)
+                == normalized_arc_integral(exponent_2q(spiral), 1, ctx50))
+        for p, r in zip(divide_fundamental_arc(erdos, 3, ctx50),
+                        divide_fundamental_arc(spiral, 3, ctx50)):
+            assert (p.s, p.radius, p.theta, p.x, p.y, p.residual) == \
+                (r.s, r.radius, r.theta, r.x, r.y, r.residual)
 
 
 class TestPolarRadius:
