@@ -16,6 +16,6 @@ from .identities import IdentityReport, run_all
 from .numkernel import BigReal, PrecisionContext, from_decimal, make_context, to_decimal
 from .quadrature import QuadratureResult, beta_integral_check, tanh_sinh
 from .render import Polyline, RenderOptions, emit_svg, mandelbrot_coeffs, trace_implicit, trace_polar
-from .specfun import beta, carlson_rf, ellip_k, gamma, gauss_value_at_1, hyp2f1
+from .specfun import beta, carlson_rf, ellip_k, gamma, hyp2f1
 
 __version__ = "0.1.0"

@@ -225,8 +225,8 @@ class MinPolyCandidate:
     verified: bool = False
 
 
-def _poly_residual(coeffs, alpha, ctx: PrecisionContext, extra: int = 0) -> BigReal:
-    with ctx.workdps(10 + extra):
+def _poly_residual(coeffs, alpha, ctx: PrecisionContext) -> BigReal:
+    with ctx.workdps(10):
         a = as_real(alpha, ctx)
         acc = mp.mpf(0)
         for c in reversed(coeffs):
@@ -336,8 +336,6 @@ def _totient(n: int) -> int:
 
 @dataclass(frozen=True)
 class DegreeBoundRecord:
-    curve: Erdos
-    parts: int
     field_statement: str
     degree_cap: int
 
@@ -356,18 +354,15 @@ def documented_degree_bound(curve, l: int) -> DegreeBoundRecord:
         raise ConfigurationError("need l >= 1")
     if curve.n == 1:
         return DegreeBoundRecord(
-            curve, l,
             f"division radii lie in the cyclotomic field Q(zeta_{4 * l}) "
             f"of degree phi({4 * l}) = {_totient(4 * l)} over Q",
             _totient(4 * l))
     if curve.n == 2:
         return DegreeBoundRecord(
-            curve, l,
             f"division radii lie in the ray class field of Q(i) with modulus {4 * l}; "
             f"its degree is not computed here (configured cap {RAY_CLASS_DEGREE_CAP})",
             RAY_CLASS_DEGREE_CAP)
     return DegreeBoundRecord(
-        curve, l,
         f"division radii lie in an extension of degree at most 2 of the ray class "
         f"field of Q(zeta_3) with modulus {2 * l}; its degree is not computed here "
         f"(configured cap {RAY_CLASS_DEGREE_CAP})",

@@ -32,7 +32,7 @@ from mpmath import mp
 from . import algebra, division, identities, render
 from .curves import Erdos, PolyLemniscate, Regular, Sinusoidal, total_length_closed, total_length_quadrature
 from .errors import (ConfigurationError, ConvergenceError, DomainError, IntegrandError,
-                     InternalConsistencyError, SerretError, SpuriousRelationError)
+                     InternalConsistencyError, SpuriousRelationError)
 from .numkernel import from_decimal, make_context, to_decimal
 
 DEFAULT_DIGITS = 50
@@ -74,10 +74,8 @@ def _cassini_a(text) -> Fraction:
 
 
 def _curve_from_flags(ns):
-    chosen = [name for name in ("erdos", "sinusoidal", "regular", "cassini", "poly")
-              if getattr(ns, name, None) is not None]
-    if getattr(ns, "mandelbrot_level", None) is not None:
-        chosen.append("mandelbrot_level")
+    flags = ("erdos", "sinusoidal", "regular", "cassini", "poly", "mandelbrot_level")
+    chosen = [name for name in flags if getattr(ns, name, None) is not None]
     if len(chosen) != 1:
         raise ConfigurationError(f"exactly one curve flag required, got {chosen or 'none'}")
     kind = chosen[0]
@@ -129,24 +127,32 @@ def _length_citations(curve):
     return cites
 
 
-def _emit(payload, fmt: str):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        rows = payload.get("results", [])
+def _report(ns, params, rows, citations, digits=None, **extra):
+    """Write {"command", "params", "digits", "results", "citations"[, "summary"]}
+    to stdout in ``ns.format``; ``digits`` defaults to the requested ones."""
+    digits = ns.digits if digits is None else digits
+    if ns.format == "json":
+        print(json.dumps({"command": ns.command, "params": params, "digits": digits,
+                          "results": rows, "citations": citations, **extra}, indent=2))
+    elif ns.format == "csv":
         if rows:
             keys = list(rows[0].keys())
             print(",".join(keys))
             for row in rows:
                 print(",".join(str(row.get(k, "")) for k in keys))
     else:
-        print(f"# {payload['command']} (digits={payload['digits']})")
-        for key, val in payload.get("params", {}).items():
+        print(f"# {ns.command} (digits={digits})")
+        for key, val in params.items():
             print(f"  {key} = {val}")
-        for row in payload.get("results", []):
+        for row in rows:
             print("  " + "  ".join(f"{k}={v}" for k, v in row.items()))
-        for cite in payload.get("citations", []):
+        for cite in citations:
             print(f"  formula: {cite}")
+
+
+def _write_svg(path, polylines, markers, opts):
+    with open(path, "w") as fh:
+        fh.write(render.emit_svg(polylines, markers, opts))
 
 
 def cmd_length(ns) -> int:
@@ -158,18 +164,11 @@ def cmd_length(ns) -> int:
         closed = total_length_closed(curve, ctx)
         quad = total_length_quadrature(curve, ctx)
         disc = abs(closed - quad)
-    payload = {
-        "command": "length",
-        "params": _curve_params(curve),
-        "digits": ns.digits,
-        "results": [{
-            "closed_form": to_decimal(closed, ctx),
-            "quadrature": to_decimal(quad, ctx),
-            "residual": to_decimal(disc, ctx),
-        }],
-        "citations": _length_citations(curve),
-    }
-    _emit(payload, ns.format)
+    _report(ns, _curve_params(curve), [{
+        "closed_form": to_decimal(closed, ctx),
+        "quadrature": to_decimal(quad, ctx),
+        "residual": to_decimal(disc, ctx),
+    }], _length_citations(curve))
     return 0
 
 
@@ -255,21 +254,11 @@ def _divide_leaf(ns, ctx, curve):
             cand = algebra.minpoly(p.s, cap, ns.max_height, ctx,
                                    refine=_leaf_radius(curve, ns.parts, p.index))
             row.update(_minpoly_columns(cand, ctx))
-    payload = {
-        "command": "divide",
-        "params": {**_curve_params(curve), "parts": ns.parts},
-        "digits": ns.digits,
-        "results": rows,
-        "citations": citations,
-    }
     if ns.svg_out:
         expanded = division.expand_by_symmetry(curve, points, ctx)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
-        opts = render.RenderOptions()
-        svg = render.emit_svg(render.trace_polar(curve, 720), markers, opts)
-        with open(ns.svg_out, "w") as fh:
-            fh.write(svg)
-    _emit(payload, ns.format)
+        _write_svg(ns.svg_out, render.trace_polar(curve, 720), markers, render.RenderOptions())
+    _report(ns, {**_curve_params(curve), "parts": ns.parts}, rows, citations)
     return 0
 
 
@@ -293,24 +282,14 @@ def _divide_cassini(ns, ctx):
         cand = algebra.minpoly(result.cos_u, ns.max_degree or 8, ns.max_height, ctx,
                                refine=_cassini_cos_u(a, ns.n))
         row.update(_minpoly_columns(cand, ctx))
-    payload = {
-        "command": "divide",
-        "params": {"family": "cassini", "a": str(a), "n": ns.n},
-        "digits": ns.digits,
-        "results": [row],
-        "citations": [
-            "I(u) = ((n-1)/n) I(pi/2) places points at angles u/2 and pi/2 - u/2",
-            "shortest arc between them has length l(C_a)/(4n)",
-        ],
-    }
     if ns.svg_out:
         markers = [(float(result.P[0]), float(result.P[1]), "P"),
                    (float(result.P_prime[0]), float(result.P_prime[1]), "P'")]
-        svg = render.emit_svg(render.trace_polar(Regular(a, 2), 720), markers,
-                              render.RenderOptions())
-        with open(ns.svg_out, "w") as fh:
-            fh.write(svg)
-    _emit(payload, ns.format)
+        _write_svg(ns.svg_out, render.trace_polar(Regular(a, 2), 720), markers, render.RenderOptions())
+    _report(ns, {"family": "cassini", "a": str(a), "n": ns.n}, [row], [
+        "I(u) = ((n-1)/n) I(pi/2) places points at angles u/2 and pi/2 - u/2",
+        "shortest arc between them has length l(C_a)/(4n)",
+    ])
     return 0
 
 
@@ -323,7 +302,7 @@ def cmd_divide(ns) -> int:
     if ns.parts is None:
         raise ConfigurationError("--parts is required for leaf curves")
     curve = _curve_from_flags(ns)
-    if not isinstance(curve, (Erdos, Sinusoidal)):
+    if not isinstance(curve, Sinusoidal):
         raise ConfigurationError("divide needs --erdos, --sinusoidal or --cassini")
     return _divide_leaf(ns, ctx, curve)
 
@@ -341,17 +320,9 @@ def cmd_identities(ns) -> int:
             "passed": r.passed,
         })
     all_passed = all(r.passed for r in reports)
-    payload = {
-        "command": "identities",
-        "params": {},
-        "digits": ns.digits,
-        "results": rows,
-        "citations": ["see per-check docstrings for the identity statements"],
-        "summary": {"passed": all_passed,
-                    "checks": len(reports),
-                    "failed": [r.name for r in reports if not r.passed]},
-    }
-    _emit(payload, ns.format)
+    _report(ns, {}, rows, ["see per-check docstrings for the identity statements"],
+            summary={"passed": all_passed, "checks": len(reports),
+                     "failed": [r.name for r in reports if not r.passed]})
     return 0 if all_passed else 1
 
 
@@ -414,14 +385,8 @@ def cmd_minpoly(ns) -> int:
     cand = algebra.minpoly(alpha, ns.max_degree, ns.max_height, ctx, refine=refine)
     row = {"value": to_decimal(alpha, ctx), "source": source, "status": cand.status}
     row.update(_minpoly_columns(cand, ctx))
-    payload = {
-        "command": "minpoly",
-        "params": {"max_degree": ns.max_degree, "max_height": ns.max_height},
-        "digits": ctx.digits,
-        "results": [row],
-        "citations": ["PSLQ integer relation on (1, x, ..., x^d), gamma = sqrt(4/3)"],
-    }
-    _emit(payload, ns.format)
+    _report(ns, {"max_degree": ns.max_degree, "max_height": ns.max_height}, [row],
+            ["PSLQ integer relation on (1, x, ..., x^d), gamma = sqrt(4/3)"], ctx.digits)
     return 0
 
 
@@ -441,7 +406,7 @@ def cmd_plot(ns) -> int:
         polylines = render.trace_polar(curve, ns.samples)
     markers = []
     if ns.divide:
-        if not isinstance(curve, (Erdos, Sinusoidal)):
+        if not isinstance(curve, Sinusoidal):
             raise ConfigurationError("--divide markers need a leaf curve")
         per_leaf = 2 * curve.leaves
         if ns.divide % per_leaf:
@@ -451,9 +416,7 @@ def cmd_plot(ns) -> int:
         points = division.divide_fundamental_arc(curve, ns.divide // per_leaf, ctx)
         expanded = division.expand_by_symmetry(curve, points, ctx)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
-    svg = render.emit_svg(polylines, markers, opts)
-    with open(ns.out, "w") as fh:
-        fh.write(svg)
+    _write_svg(ns.out, polylines, markers, opts)
     print(f"wrote {ns.out} ({len(polylines)} path(s), {len(markers)} marker(s))")
     return 0
 

@@ -2,9 +2,10 @@
 
 Families
 --------
-* ``Erdos(n)``       |z^n - 1| = 1, polar r^n = 2 cos(n theta), n leaves.
 * ``Sinusoidal(a,b)`` r^q = 2 cos(q theta) with q = a/b > 0 in lowest
   terms; a leaves.
+* ``Erdos(n)``       |z^n - 1| = 1, whose polar form r^n = 2 cos(n theta)
+  is the sinusoidal spiral with q = n: ``Sinusoidal(n, 1)`` with n leaves.
 * ``Regular(a,k)``   |z^k - a^k| = 1 with a > 0, a != 1 (a = 1 is the
   Erdos case, whose closed forms differ); k = 2 gives Cassini ovals.
 * ``PolyLemniscate(coeffs)``  |P(z)| = 1 for an arbitrary polynomial;
@@ -53,25 +54,6 @@ def _as_fraction(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Erdos:
-    """Erdos lemniscate with n leaves."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigurationError(f"Erdos needs integer n >= 1, got {self.n!r}")
-
-    @property
-    def q(self) -> Fraction:
-        return Fraction(self.n)
-
-    @property
-    def leaves(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True)
 class Sinusoidal:
     """Sinusoidal spiral r^q = 2 cos(q theta), q = a/b in lowest terms."""
 
@@ -90,6 +72,19 @@ class Sinusoidal:
 
     @property
     def leaves(self) -> int:
+        return self.a
+
+
+class Erdos(Sinusoidal):
+    """Erdos lemniscate |z^n - 1| = 1: the sinusoidal spiral with q = n."""
+
+    def __init__(self, n: int):
+        if not isinstance(n, int) or n < 1:
+            raise ConfigurationError(f"Erdos needs integer n >= 1, got {n!r}")
+        super().__init__(n, 1)
+
+    @property
+    def n(self) -> int:
         return self.a
 
 
@@ -121,7 +116,7 @@ class PolyLemniscate:
             raise ConfigurationError("PolyLemniscate needs degree >= 1")
 
 
-Curve = Union[Erdos, Sinusoidal, Regular, PolyLemniscate]
+Curve = Union[Sinusoidal, Regular, PolyLemniscate]
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ class PolarPoint:
 
 def exponent_2q(curve) -> Fraction:
     """The 2q in the normalized arc integrand (1 - s^(2q))^(-1/2)."""
-    if isinstance(curve, (Erdos, Sinusoidal)):
+    if isinstance(curve, Sinusoidal):
         return 2 * curve.q
     raise DomainError(f"no normalized arc exponent for {type(curve).__name__}")
 
@@ -149,7 +144,7 @@ def polar_radius(curve, theta, ctx: PrecisionContext, branch: str = "outer") -> 
     with ctx.workdps():
         theta = as_real(theta, ctx)
         slack = mp.mpf(10) ** (-ctx.digits)
-        if isinstance(curve, (Erdos, Sinusoidal)):
+        if isinstance(curve, Sinusoidal):
             if branch != "outer":
                 raise DomainError("leaf curves have a single branch")
             q = as_real(curve.q, ctx)
@@ -235,9 +230,6 @@ def _closed_regular_lt1(a: Fraction, k: int, ctx: PrecisionContext) -> BigReal:
 def total_length_closed(curve, ctx: PrecisionContext) -> BigReal:
     """Total length by closed form (Beta for leaves, 2F1/K for Regular)."""
     with ctx.workdps():
-        if isinstance(curve, Erdos):
-            n = curve.n
-            return 2 ** (mp.mpf(1) / n) * beta(mp.mpf(1) / 2, mp.mpf(1) / (2 * n), ctx)
         if isinstance(curve, Sinusoidal):
             q = as_real(curve.q, ctx)
             return curve.b * 2 ** (1 / q) * beta(mp.mpf(1) / 2, 1 / (2 * q), ctx)
@@ -261,7 +253,7 @@ def total_length_quadrature(curve, ctx: PrecisionContext, route: str = "radial")
     if route not in ("radial", "angular"):
         raise ConfigurationError(f"unknown route {route!r}")
     with ctx.workdps():
-        if isinstance(curve, (Erdos, Sinusoidal)):
+        if isinstance(curve, Sinusoidal):
             if route == "angular":
                 # at a = 1 the angular integrand degenerates to
                 # cos(phi)^-(k-1)/k, whose tail is too shallow for the
@@ -317,7 +309,7 @@ def _angular_window(curve, ctx: PrecisionContext):
     """(period, half-width) of the windows |theta - j period| <= half-width
     holding the outer branch, or None when it covers every angle
     (Regular, a < 1)."""
-    if isinstance(curve, (Erdos, Sinusoidal)):
+    if isinstance(curve, Sinusoidal):
         q = as_real(curve.q, ctx)
         return 2 * mp.pi / q, mp.pi / (2 * q)
     if curve.a < 1:
@@ -340,7 +332,7 @@ def polar_arc_length(curve, theta1, theta2, ctx: PrecisionContext) -> BigReal:
     """
     if isinstance(curve, PolyLemniscate):
         raise DomainError("no arc length for PolyLemniscate")
-    if isinstance(curve, (Erdos, Sinusoidal)):
+    if isinstance(curve, Sinusoidal):
         # at the leaf edge the integrand behaves like cos(q theta)^(1/q - 1)
         alpha = min(1 / float(curve.q) - 1, -0.5)
     else:
@@ -366,7 +358,7 @@ def polar_arc_length(curve, theta1, theta2, ctx: PrecisionContext) -> BigReal:
             if gap_hi <= snap:
                 gap_hi, t2 = mp.mpf(0), center + edge
 
-        if isinstance(curve, (Erdos, Sinusoidal)):
+        if isinstance(curve, Sinusoidal):
             q = as_real(curve.q, ctx)
             inv_q = 1 / curve.q
 

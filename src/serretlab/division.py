@@ -24,9 +24,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
-                     cos_u_of_v, exponent_2q, normalized_arc_integral,
-                     polar_arc_length, polar_radius, total_length_closed)
+from .curves import (Regular, Sinusoidal, cassini_reduced_integral, cos_u_of_v, exponent_2q,
+                     normalized_arc_integral, polar_arc_length, polar_radius,
+                     total_length_closed)
 from .errors import ConfigurationError, ConvergenceError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
 from .quadrature import _one_minus_power, tanh_sinh
@@ -63,7 +63,7 @@ def subarc_length(curve, s_a, s_b, ctx: PrecisionContext) -> BigReal:
     2^(1/q) int_{s_a}^{s_b} ds / sqrt(1 - s^(2q)); independent of the
     closed-form F, so it can serve as an oracle for it.
     """
-    if not isinstance(curve, (Erdos, Sinusoidal)):
+    if not isinstance(curve, Sinusoidal):
         raise DomainError("subarc_length needs an Erdos or Sinusoidal curve")
     with ctx.workdps():
         twoq = exponent_2q(curve)
@@ -120,7 +120,7 @@ def divide_fundamental_arc(curve, l: int, ctx: PrecisionContext) -> tuple:
     so theta = arccos(s^q)/q, running from the leaf edge pi/(2q) at the
     origin down to 0 at the tip.
     """
-    if not isinstance(curve, (Erdos, Sinusoidal)):
+    if not isinstance(curve, Sinusoidal):
         raise DomainError("divide_fundamental_arc needs an Erdos or Sinusoidal curve")
     if not isinstance(l, int) or l < 1:
         raise ConfigurationError(f"need integer l >= 1, got {l!r}")
@@ -158,7 +158,7 @@ def expand_by_symmetry(curve, points: list, ctx: PrecisionContext) -> list:
     the next leaf.  Points are reindexed along the traversal; the
     closing point (the start origin again) is dropped.
     """
-    if not isinstance(curve, (Erdos, Sinusoidal)):
+    if not isinstance(curve, Sinusoidal):
         raise DomainError("expand_by_symmetry needs an Erdos or Sinusoidal curve")
     l = len(points) - 1
     if l < 1 or any(p.index != i for i, p in enumerate(points)):

@@ -17,7 +17,7 @@ from mpmath import mp
 from .curves import Regular, total_length_closed, total_length_quadrature
 from .numkernel import BigReal, PrecisionContext, as_real
 from .quadrature import tanh_sinh
-from .specfun import beta, ellip_k, gamma, gauss_value_at_1, hyp2f1
+from .specfun import beta, ellip_k, gamma, hyp2f1
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def check_gauss_beta_bridge(ctx: PrecisionContext) -> IdentityReport:
     with ctx.workdps():
         for k in (2, 3, 4, 5, 7):
             pv = mp.mpf(k - 1) / (2 * k)
-            lhs = 2 * mp.pi * gauss_value_at_1(pv, pv, mp.mpf(1), ctx)
+            lhs = 2 * mp.pi * hyp2f1(pv, pv, mp.mpf(1), 1, ctx)
             rhs = 2 ** (mp.mpf(1) / k) * beta(mp.mpf(1) / 2, mp.mpf(1) / (2 * k), ctx)
             rows.append(((k,), abs(lhs - rhs)))
     return _assemble("gauss_beta_bridge", rows, 3, ctx)

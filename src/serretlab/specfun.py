@@ -210,7 +210,9 @@ def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
     r must not be zero or a negative integer, and z = 1 needs
     r - p - q > 0; other arguments raise :class:`DomainError`.
 
-    Routing: z = 1 by Gauss summation; z in [0, 3/4] by the power series;
+    Routing: z = 1 by Gauss summation,
+    2F1(p, q, r; 1) = Gamma(r) Gamma(r-p-q) / (Gamma(r-p) Gamma(r-q));
+    z in [0, 3/4] by the power series;
     z in (3/4, 1) by the connection formula DLMF 15.8.4, two power series
     in 1 - z < 1/4, unless r - p - q is within 1e-4 of an integer or
     p, q, r - p or r - q is zero or a negative integer (then the series in
@@ -228,23 +230,9 @@ def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
         if z == 0:
             return mp.mpf(1)
         if z == 1:
-            return gauss_value_at_1(p, q, r, ctx)
+            return (gamma(r, ctx) * gamma(r - p - q, ctx)
+                    / (gamma(r - p, ctx) * gamma(r - q, ctx)))
         if z < 0:
             w = z / (z - 1)
             return (1 - z) ** (-p) * _hyp2f1_unit(p, r - q, r, w, ctx)
         return _hyp2f1_unit(p, q, r, z, ctx)
-
-
-def gauss_value_at_1(p, q, r, ctx: PrecisionContext) -> BigReal:
-    """2F1(p, q, r; 1) = Gamma(r) Gamma(r-p-q) / (Gamma(r-p) Gamma(r-q)).
-
-    Needs r - p - q > 0 and r, r-p, r-q > 0.
-    """
-    with ctx.workdps(10):
-        p = as_real(p, ctx)
-        q = as_real(q, ctx)
-        r = as_real(r, ctx)
-        if not r - p - q > 0:
-            raise DomainError("Gauss summation needs r - p - q > 0")
-        return (gamma(r, ctx) * gamma(r - p - q, ctx)
-                / (gamma(r - p, ctx) * gamma(r - q, ctx)))

@@ -325,6 +325,28 @@ class TestPlot:
             assert time.monotonic() - start < 1
             assert not (tmp_path / "big.svg").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--erdos", "2", "--bbox=-inf,-1,inf,1"],          # infinite bounds
+        ["--erdos", "2", "--bbox=0,0,1e-320,1e-320"],      # infinite pixel scale
+        ["--poly", "1,0,-1", "--bbox=-1e308,-1e308,1e308,1e308", "--grid", "64"],  # span
+    ])
+    def test_bbox_must_map_to_finite_pixels(self, capsys, tmp_path, argv):
+        target = tmp_path / "x.svg"
+        code, out, _ = run(capsys, "plot", *argv, "--out", str(target))
+        assert code == 2 and not target.exists()
+        doc = json.loads(out)
+        assert doc["exit_code"] == 2 and doc["error"]["kind"] == "ConfigurationError"
+
+    def test_samples_bound(self, capsys, tmp_path):
+        # the vertex count is bounded before any is built
+        target = tmp_path / "x.svg"
+        start = time.monotonic()
+        code, out, _ = run(capsys, "plot", "--erdos", "2", "--samples", "100000000",
+                           "--out", str(target))
+        assert code == 2 and time.monotonic() - start < 1
+        assert not target.exists()
+        assert json.loads(out)["error"]["kind"] == "ConfigurationError"
+
     def test_divide_must_fit_symmetry(self, capsys, tmp_path):
         code, _, _ = run(capsys, "plot", "--erdos", "3", "--divide", "10",
                          "--out", str(tmp_path / "x.svg"))

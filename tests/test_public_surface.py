@@ -55,3 +55,22 @@ def test_every_export_is_used_in_the_package():
     unused = sorted(name for name, module in exports if (module, name) not in used)
     # an oracle that the package starts to use leaves the exception list
     assert unused == sorted(TEST_ORACLES)
+
+
+def _unread_imports(tree):
+    """Names that a module imports but never reads."""
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_import_is_read_in_its_module():
+    trees = _modules()
+    trees.pop("__init__")  # its imports are the exports
+    unread = {stem: sorted(_unread_imports(tree)) for stem, tree in trees.items()}
+    assert {stem: names for stem, names in unread.items() if names} == {}

@@ -10,7 +10,7 @@ from serretlab.curves import Regular, total_length_closed, total_length_quadratu
 from serretlab.errors import ConvergenceError, DomainError
 from serretlab.numkernel import make_context, to_decimal
 from serretlab.quadrature import tanh_sinh
-from serretlab.specfun import beta, carlson_rf, ellip_k, gamma, gauss_value_at_1, hyp2f1
+from serretlab.specfun import beta, carlson_rf, ellip_k, gamma, hyp2f1
 
 GAMMA_QUARTER_50 = "3.6256099082219083119306851558676720029951676828801"
 K_HALF_50 = "1.8540746773013719184338503471952600462175988235218"
@@ -135,8 +135,7 @@ class TestHyp2F1:
     def test_gauss_summation_at_one(self, ctx50):
         q = mp.mpf(1) / 4
         lhs = hyp2f1(q, q, 1, 1, ctx50)
-        rhs = gauss_value_at_1(q, q, mp.mpf(1), ctx50)
-        assert lhs == rhs
+        assert abs(lhs - mp.hyp2f1(q, q, 1, 1)) < mp.mpf(10) ** -49
 
     def test_against_mpmath(self, ctx50):
         with mp.workdps(80):
@@ -252,23 +251,23 @@ class TestRegularLengthEdge:
 
 class TestGaussValueAtOne:
     def test_half_half_two(self, ctx50):
-        got = gauss_value_at_1(mp.mpf(1) / 2, mp.mpf(1) / 2, 2, ctx50)
+        got = hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 2, 1, ctx50)
         assert abs(got - 4 / mp.pi) < mp.mpf(10) ** -49
 
     def test_p_zero_collapses(self, ctx50):
-        assert abs(gauss_value_at_1(0 + mp.mpf(10) ** -60, mp.mpf(1) / 3,
-                                    mp.mpf(3) / 2, ctx50) - 1) < mp.mpf(10) ** -55
+        assert abs(hyp2f1(0 + mp.mpf(10) ** -60, mp.mpf(1) / 3,
+                          mp.mpf(3) / 2, 1, ctx50) - 1) < mp.mpf(10) ** -55
 
     def test_beta_bridge_k3(self, ctx50):
         # 2 pi 2F1((k-1)/2k, (k-1)/2k, 1; 1) = 2^(1/k) B(1/2, 1/(2k)), k = 3
         p = mp.mpf(2) / 6
-        lhs = 2 * mp.pi * gauss_value_at_1(p, p, mp.mpf(1), ctx50)
+        lhs = 2 * mp.pi * hyp2f1(p, p, mp.mpf(1), 1, ctx50)
         rhs = 2 ** (mp.mpf(1) / 3) * beta(mp.mpf(1) / 2, mp.mpf(1) / 6, ctx50)
         assert abs(lhs - rhs) < mp.mpf(10) ** -47
 
     def test_domain(self, ctx50):
         with pytest.raises(DomainError):
-            gauss_value_at_1(1, 1, 1, ctx50)
+            hyp2f1(1, 1, 1, 1, ctx50)
 
 
 class TestTransformationProperties:
