@@ -257,7 +257,8 @@ def _divide_leaf(ns, ctx, curve):
     if ns.svg_out:
         expanded = division.expand_by_symmetry(curve, points, ctx)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
-        _write_svg(ns.svg_out, render.trace_polar(curve, 720), markers, render.RenderOptions())
+        polylines = render.trace_polar(curve, min(720, render.MAX_POLAR_VERTICES // curve.leaves))
+        _write_svg(ns.svg_out, polylines, markers, render.RenderOptions())
     _report(ns, {**_curve_params(curve), "parts": ns.parts}, rows, citations)
     return 0
 

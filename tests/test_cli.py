@@ -210,6 +210,11 @@ class TestDivide:
         assert code == 0
         svg = target.read_text()
         assert svg.count('class="marker"') == 4
+        # 300 leaves at 720 samples each would pass the vertex bound: the
+        # leaf sampling thins instead of refusing the drawing
+        code, _, _ = run(capsys, "divide", "--erdos", "300", "--parts", "1",
+                         "--digits", "20", "--svg-out", str(target))
+        assert code == 0 and target.read_text().count('class="marker"') == 600
 
     def test_cassini_conflicting_flags(self, capsys):
         assert run(capsys, "divide", "--cassini", "a=4/5", "--parts", "2")[0] == 2
