@@ -14,7 +14,7 @@ from .errors import (ConfigurationError, ConvergenceError, DomainError, Integran
                      InternalConsistencyError, SerretError, SpuriousRelationError)
 from .identities import IdentityReport, run_all
 from .numkernel import BigReal, PrecisionContext, from_decimal, make_context, to_decimal
-from .quadrature import QuadratureResult, beta_integral_check, tanh_sinh
+from .quadrature import QuadratureResult, tanh_sinh
 from .render import Polyline, RenderOptions, emit_svg, mandelbrot_coeffs, trace_implicit, trace_polar
 from .specfun import beta, carlson_rf, ellip_k, gamma, hyp2f1
 

@@ -6,12 +6,11 @@ singularities of exponent > -1 converge at full precision without any
 change of variables.  Refinement halves the step h per level, reusing
 all previous nodes.
 
-Abscissas are generated as offsets from the nearest endpoint,
-delta(t) = 1 - tanh((pi/2) sinh t) = 2/(exp(2u) + 1), clipped at
-10**(-clip) where clip grows with the worst endpoint exponent alpha
-(about working_digits/(1+alpha); twice the working digits for the
-default alpha = -1/2 -- a clip at only 10**-(digits+guard) would leave
-a truncated tail of its square root, far above the target).
+Abscissas are offsets from the nearest endpoint, delta(t) = 1 -
+tanh((pi/2) sinh t) = 2/(exp(2u) + 1), clipped at 10**(-clip) with clip
+about working_digits/(1+alpha) for the worst endpoint exponent alpha
+(twice the working digits at alpha = -1/2, whose square-root tail a clip
+at 10**-(digits+guard) would leave far above the target).
 
 Nodes that close to an endpoint round onto it at any affordable
 precision, so the integrand is never given x alone: it receives one
@@ -21,7 +20,16 @@ on the far one), and builds its singular factor from those distances
 (Bailey, Jeyabalan and Li, Experimental Math. 14 (2005)).  Offsets and
 weights need relative precision only, so the node tables and every
 evaluation run at working_digits + 20 places, and f is never called at
-a or b.
+a or b.  A table costs one exp per node (see _nodes).
+
+Stopping rule, relative to max(1, |S_k|) for the level sums S_k and the
+target 10**-(digits+3): accept S_k (k >= 2) if |S_k - S_(k-1)| is within
+the target, which is then its ``error_estimate``; or, a level sooner
+(k >= 3), if with D1 = log10|S_k - S_(k-1)|, D2 = log10|S_k - S_(k-2)| the
+digits grow quadratically, D1 <= 1.5 D2 < 0, and 1000 E is within the
+target, E = 10**max(D1**2/D2, 2 D1) being Bailey, Jeyabalan and Li's
+estimate of the next difference; ``error_estimate`` is then 1000 E.
+Either is raised to 10**-working_digits at least.
 """
 
 from __future__ import annotations
@@ -38,26 +46,23 @@ from .numkernel import BigReal, PrecisionContext, as_real
 
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_ENDPOINT_EXPONENT = -0.5
-MAX_NODE_TABLES = 128  # 1.8x the 71 node tables a whole `lengths` benchmark run holds
-# decimal places evaluated beyond the working digits
-_EVAL_MARGIN = 20
+MAX_NODE_TABLES = 128  # 2.1x the 62 node tables a whole `lengths` benchmark run holds
+_EVAL_MARGIN = 20  # decimal places evaluated beyond the working digits
 # below this distance u from a singular endpoint, 1 - (1-u)^p is summed as a
-# series in u; above it the plain power loses fewer than 15 of the
-# _EVAL_MARGIN spare digits
+# series in u; above it the plain power loses < 15 of the spare digits
 _CANCELLATION_FLOOR = mp.mpf("1e-15")
+_RESEED = 64  # a node table's running e^t restarts from exp(t) this often
+_QUADRATIC_RATE = 1.5  # the stopping rule's 1.5 in D1 <= 1.5 D2 ...
+_ESTIMATE_MARGIN = 1000  # ... and its 1000 in 1000 E (module docstring)
 
 # an integrand receives one node (x, da, db) with da = x - a, db = b - x
 Integrand = Callable[[tuple], BigReal]
 
 
 def _clip_exponent(ctx: PrecisionContext, alpha: float) -> int:
-    """Node offsets stop at 10**-clip_exponent.
-
-    An endpoint singularity x^alpha contributes ~ offset^(1+alpha) per
-    node near the cutoff, so pushing the truncated tail below the
-    convergence target needs clip_exponent ~ digits/(1+alpha); exponent
-    -1/2 gives the familiar doubled depth.
-    """
+    """Node offsets stop at 10**-clip_exponent: an endpoint singularity
+    x^alpha leaves a tail ~ offset^(1+alpha), so the tail stays below the
+    target at clip_exponent ~ digits/(1+alpha), doubled for alpha = -1/2."""
     if not -1 < alpha:
         raise DomainError(f"endpoint exponent must be > -1, got {alpha}")
     needed = (ctx.working_digits + 10) / (1 + float(alpha)) if alpha < 0 else 0
@@ -76,10 +81,8 @@ def _one_minus_power(u, p: Fraction) -> BigReal:
     cancellation as u -> 0.
 
     Below _CANCELLATION_FLOOR it is the binomial series sum_{j>=1} c_j u^j,
-    c_1 = p, c_{j+1} = c_j (j - p)/(j + 1): each term is below 1e-15
-    |j - p|/(j + 1) times the one before, so the sum takes a few
-    multiplications (none past j = p for integer p), several times cheaper
-    than the logarithm and exponential.
+    c_1 = p, c_{j+1} = c_j (j - p)/(j + 1), each term below 1e-15 times the
+    one before: a few multiplications instead of a log and an exp.
     """
     if u >= _CANCELLATION_FLOOR:
         return 1 - _rational_power(1 - u, p)
@@ -102,27 +105,28 @@ def _nodes(clip_exponent: int, level: int, dps: int) -> tuple:
     holds the odd multiples of 2**-k.  Each entry is (delta, w) with
     delta the distance of the abscissa from +1 and w the pure transform
     weight (pi/2) cosh(t) sech((pi/2) sinh t)**2, h excluded; both carry
-    ``dps`` places relative to their own size.
+    ``dps`` places relative to their own size.  e^t is a running product,
+    reseeded every _RESEED nodes, and sinh t, cosh t come from it and its
+    reciprocal: exp(-2u) is the one transcendental per node.
     """
     with mp.workdps(dps):
         clip = mp.mpf(10) ** (-clip_exponent)
         u_max = (clip_exponent * mp.log(10) + mp.log(2)) / 2
         t_max = mp.asinh(2 * u_max / mp.pi)
         h = mp.mpf(2) ** (-level)
-        if level == 0:
-            js = range(0, int(mp.floor(t_max)) + 1)
-        else:
-            js = range(1, int(mp.floor(t_max / h)) + 1, 2)
-        out = []
-        half_pi = mp.pi / 2
-        for j in js:
-            t = j * h
-            u = half_pi * mp.sinh(t)
+        js = (range(0, int(mp.floor(t_max)) + 1) if level == 0
+              else range(1, int(mp.floor(t_max / h)) + 1, 2))
+        grow = mp.exp(js.step * h)
+        out, quarter_pi = [], mp.pi / 4
+        for n, j in enumerate(js):
+            et = mp.exp(j * h) if n % _RESEED == 0 else et * grow
+            inv = 1 / et
+            u = quarter_pi * (et - inv)        # (pi/2) sinh t
             e = mp.exp(-2 * u)
             delta = 2 * e / (1 + e)
             if delta < clip:
                 break
-            w = half_pi * mp.cosh(t) * 4 * e / (1 + e) ** 2
+            w = quarter_pi * (et + inv) * 4 * e / (1 + e) ** 2
             out.append((delta, w))
     return tuple(out)
 
@@ -144,24 +148,24 @@ def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
     factor singular at an endpoint must be formed from da or db, since
     x itself may round onto the endpoint.  f is never evaluated at a or b.
 
-    Stops when two consecutive refinement levels agree to
-    10**(-digits-3) relative to max(1, |integral|); raises
-    :class:`ConvergenceError` carrying the best estimate if ``max_level``
-    is reached first.
+    Returns the first level sum S_k that agrees with S_(k-1) to
+    10**-(digits+3) relative to max(1, |S_k|), or, a level sooner, whose
+    last three sums converge quadratically with 1000 times the estimated
+    error E within that; ``error_estimate`` is the difference or 1000 E
+    (module docstring).  Past ``max_level`` it raises ConvergenceError with
+    the last sum as ``best`` and state {"levels", "differences"}, the
+    latter |S_k - S_(k-1)| for each level k >= 1.
 
-    ``min_endpoint_exponent`` is the worst algebraic endpoint exponent
-    of f (must be > -1); exponents below the default -1/2 deepen the
-    node cutoff so the truncated tail stays below the target.
+    ``min_endpoint_exponent`` (> -1) is the worst algebraic endpoint
+    exponent of f; below the default -1/2 it deepens the node cutoff.
     """
     clip_exp = _clip_exponent(ctx, min_endpoint_exponent)
     dps = ctx.working_digits + _EVAL_MARGIN
     with mp.workdps(dps):
-        a = as_real(a, ctx)
-        b = as_real(b, ctx)
+        a, b = as_real(a, ctx), as_real(b, ctx)
         if not a < b:
             raise DomainError(f"need a < b, got a={a}, b={b}")
-        width = b - a
-        hw = width / 2
+        width, hw = b - a, (b - a) / 2
         target = mp.mpf(10) ** (-ctx.digits - 3)
         floor = mp.mpf(10) ** (-ctx.working_digits)
 
@@ -175,8 +179,7 @@ def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
             return fx
 
         total = mp.mpf(0)     # sum of w*f over all nodes seen so far
-        value = prev = None
-        err = None
+        sums = []
         for level in range(0, max_level + 1):
             for delta, w in _nodes(clip_exp, level, dps):
                 near = hw * delta
@@ -185,34 +188,31 @@ def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
                 if delta != 1:  # t = 0 is its own mirror image
                     total += w * eval_at((a + near, near, far))
             value = hw * total * mp.mpf(2) ** (-level)
-            if prev is not None:
-                err = abs(value - prev)
-                scale = max(mp.mpf(1), abs(value))
-                if level >= 2 and err <= target * scale:
-                    return QuadratureResult(value, max(err, floor * scale), level)
-            prev = value
+            sums.append(value)
+            rel = _accepted_error(sums, target)
+            if rel is not None:
+                return QuadratureResult(value, max(rel, floor) * max(mp.mpf(1), abs(value)), level)
+        differences = [abs(s1 - s0) for s0, s1 in zip(sums, sums[1:])]
         raise ConvergenceError(
             f"tanh-sinh did not converge by level {max_level}",
-            best=QuadratureResult(value, err, max_level))
+            best=QuadratureResult(value, differences[-1] if differences else None, max_level),
+            state={"levels": max_level, "differences": differences})
 
 
-def beta_integral_check(n: int, i: int, ctx: PrecisionContext) -> BigReal:
-    """|quadrature - closed form| for int_0^1 s^i (1-s^(2n))^(-1/2) ds.
-
-    The closed form is B(1/2, (i+1)/(2n)) / (2n).  The discrepancy must
-    be at most 10**(-digits+5).
-    """
-    from .specfun import beta
-
-    if n < 1 or not (0 <= i <= n - 1):
-        raise DomainError(f"need n >= 1 and 0 <= i <= n-1, got n={n}, i={i}")
-    with ctx.workdps():
-        twon = Fraction(2 * n)
-
-        def f(node):
-            s, _, u = node
-            return s ** i / mp.sqrt(_one_minus_power(u, twon))
-
-        q = tanh_sinh(f, 0, 1, ctx).value
-        closed = beta(mp.mpf(1) / 2, mp.mpf(i + 1) / (2 * n), ctx) / (2 * n)
-        return abs(q - closed)
+def _accepted_error(sums, target):
+    """The relative error of the last level sum if the stopping rule (module
+    docstring) accepts it, else None.  The margin covers the wobble of the
+    rate around 2, which makes E alone up to 6e4 times too small."""
+    k = len(sums) - 1
+    if k < 2:
+        return None
+    scale = max(mp.mpf(1), abs(sums[k]))
+    d1 = abs(sums[k] - sums[k - 1]) / scale
+    if d1 <= target:
+        return d1
+    d2 = abs(sums[k] - sums[k - 2]) / scale
+    if k < 3 or not (d1 < 1 and 0 < d2 < 1):
+        return None
+    D1, D2 = mp.log10(d1), mp.log10(d2)
+    err = _ESTIMATE_MARGIN * mp.mpf(10) ** max(D1 * D1 / D2, 2 * D1)
+    return err if D1 <= _QUADRATIC_RATE * D2 and err <= target else None

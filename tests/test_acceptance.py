@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+from oracles import beta_integral_check
 from serretlab.algebra import documented_degree_bound, minpoly, pslq
 from serretlab.cli import main
 from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
@@ -23,7 +24,6 @@ from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
 from serretlab.division import (divide_cassini, divide_fundamental_arc, expand_by_symmetry,
                                 subarc_length)
 from serretlab.numkernel import make_context
-from serretlab.quadrature import beta_integral_check
 from serretlab.render import RenderOptions, trace_implicit
 
 PI_75 = ("3.14159265358979323846264338327950288419716939937510582097494"

@@ -170,9 +170,11 @@ class TestErrorDocument:
         code, out, _ = run(capsys, "length", "--erdos", "5", "--digits", "17")
         assert code == 3
         error = json.loads(out)["error"]
-        assert error["kind"] == "ConvergenceError" and error["state"] is None
+        assert error["kind"] == "ConvergenceError"
         best = error["best"]
         assert best["levels_used"] == "1"
+        # the levels run and |S_1 - S_0|, the last difference being best's error
+        assert error["state"] == {"levels": "1", "differences": [best["error_estimate"]]}
         # the half-leaf integral l(C_5)/10 = 1.30068..., two levels in
         assert abs(mp.mpf(best["value"]) - mp.mpf("1.30068")) < mp.mpf(best["error_estimate"])
 

@@ -331,20 +331,20 @@ class TestWorkingPrecision:
 
     # (label, call at 50 digits, integrand evaluations)
     CASES = [
-        ("erdos 3", lambda ctx: total_length_quadrature(Erdos(3), ctx), 691),
-        ("sinusoidal 1/3", lambda ctx: total_length_quadrature(Sinusoidal(1, 3), ctx), 345),
+        ("erdos 3", lambda ctx: total_length_quadrature(Erdos(3), ctx), 345),
+        ("sinusoidal 1/3", lambda ctx: total_length_quadrature(Sinusoidal(1, 3), ctx), 173),
         ("regular a=4/5 k=3", lambda ctx: total_length_quadrature(Regular(Fraction(4, 5), 3), ctx),
-         691),
+         345),
         ("regular a=3/2 k=2", lambda ctx: total_length_quadrature(Regular(Fraction(3, 2), 2), ctx),
-         691),
+         345),
         ("regular angular", lambda ctx: total_length_quadrature(Regular(Fraction(4, 5), 3), ctx,
-                                                                "angular"), 1383),
+                                                                "angular"), 691),
         ("cassini arc", lambda ctx: polar_arc_length(Regular(Fraction(4, 5), 2), mp.mpf(1) / 5,
-                                                     mp.pi / 3, ctx), 691),
-        ("leaf arc", lambda ctx: polar_arc_length(Erdos(3), 0, mp.pi / 6, ctx), 743),
+                                                     mp.pi / 3, ctx), 345),
+        ("leaf arc", lambda ctx: polar_arc_length(Erdos(3), 0, mp.pi / 6, ctx), 371),
         ("window arc", lambda ctx: polar_arc_length(Regular(Fraction(3, 2), 3), mp.mpf(-1) / 10,
-                                                    _edge_3_2_k3(), ctx), 1383),
-        ("subarc", lambda ctx: subarc_length(Sinusoidal(1, 3), mp.mpf(1) / 4, 1, ctx), 691),
+                                                    _edge_3_2_k3(), ctx), 691),
+        ("subarc", lambda ctx: subarc_length(Sinusoidal(1, 3), mp.mpf(1) / 4, 1, ctx), 345),
     ]
 
     @pytest.mark.parametrize("label,call,evals", CASES, ids=[c[0] for c in CASES])
@@ -365,3 +365,60 @@ class TestWorkingPrecision:
         call(ctx)
         assert max(seen) <= ctx.working_digits + 25
         assert len(seen) == evals
+
+
+def _record_quadratures(monkeypatch, call, ctx):
+    """The results of every tanh_sinh run that ``call(ctx)`` makes."""
+    from serretlab import curves, division
+
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(tanh_sinh(*args, **kwargs))
+        return results[-1]
+
+    for mod in (curves, division):
+        monkeypatch.setattr(mod, "tanh_sinh", recording)
+    call(ctx)
+    return results
+
+
+# the domain edges: leaf exponents q = 1/7 and 7, a 40-leaf lemniscate,
+# Regular curves on both sides of the a -> 1 leaf degeneration, and a
+# Cassini oval far from it
+EDGE_CASES = [
+    ("sinusoidal 1/7", lambda ctx: total_length_quadrature(Sinusoidal(1, 7), ctx)),
+    ("sinusoidal 7", lambda ctx: total_length_quadrature(Sinusoidal(7, 1), ctx)),
+    ("erdos 40", lambda ctx: total_length_quadrature(Erdos(40), ctx)),
+    *[(f"regular a={a} k={k}", lambda ctx, a=a, k=k: total_length_quadrature(Regular(a, k), ctx))
+      for a in (Fraction(49, 50), Fraction(51, 50)) for k in (2, 3, 4, 5)],
+    ("cassini a=1/10", lambda ctx: polar_arc_length(Regular(Fraction(1, 10), 2), mp.mpf(1) / 10,
+                                                    mp.mpf(7) / 5, ctx)),
+]
+
+
+class TestStoppingRuleSweep:
+    """The level tanh_sinh accepts, often one before two levels agree,
+    against the same integral 20 digits deeper: within 10**-(digits+3)
+    relative."""
+
+    @staticmethod
+    def check(monkeypatch, call, digits):
+        ctx = make_context(digits)
+        got = _record_quadratures(monkeypatch, call, ctx)
+        ref = _record_quadratures(monkeypatch, call, ctx.bumped(20))
+        assert got and len(got) == len(ref)
+        for r, truth in zip(got, ref):
+            gap = abs(r.value - truth.value)
+            assert gap <= mp.mpf(10) ** -(digits + 3) * max(1, abs(truth.value))
+
+    @pytest.mark.parametrize("digits", [25, 50, 200])
+    @pytest.mark.parametrize("call", [c[1] for c in TestWorkingPrecision.CASES],
+                             ids=[c[0] for c in TestWorkingPrecision.CASES])
+    def test_working_precision_cases(self, monkeypatch, call, digits):
+        self.check(monkeypatch, call, digits)
+
+    @pytest.mark.parametrize("digits", [25, 50, 200])
+    @pytest.mark.parametrize("call", [c[1] for c in EDGE_CASES], ids=[c[0] for c in EDGE_CASES])
+    def test_domain_edges(self, monkeypatch, call, digits):
+        self.check(monkeypatch, call, digits)

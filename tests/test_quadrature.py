@@ -6,8 +6,11 @@ import pytest
 from mpmath import mp
 
 import serretlab
+from oracles import beta_integral_check
 from serretlab.errors import ConvergenceError, DomainError, IntegrandError
-from serretlab.quadrature import QuadratureResult, _one_minus_power, beta_integral_check, tanh_sinh
+from serretlab.numkernel import make_context
+from serretlab.quadrature import (_RESEED, QuadratureResult, _accepted_error, _nodes,
+                                  _one_minus_power, tanh_sinh)
 
 # frozen with mpmath.beta at 85 digits (independent of serretlab.specfun);
 # parsed lazily so the ambient-precision fixture governs the conversion
@@ -110,6 +113,10 @@ class TestTanhSinh:
         best = err.value.best
         assert isinstance(best, QuadratureResult)
         assert abs(best.value - mp.pi / 2) < mp.mpf("1e-3")
+        # the state holds |S_1 - S_0|, which is also best's error estimate
+        state = err.value.state
+        assert state == {"levels": 1, "differences": [best.error_estimate]}
+        assert 0 < best.error_estimate < 1
 
     def test_never_evaluates_endpoints(self, ctx50):
         seen = []
@@ -123,6 +130,97 @@ class TestTanhSinh:
         # distances are exact complements, down to the node cutoff
         assert all(abs(da + db - 1) < mp.mpf(10) ** -60 for _, da, db in seen)
         assert min(db for _, _, db in seen) < mp.mpf(10) ** -100
+
+
+class TestStoppingRule:
+    """A level is accepted when it agrees with the one before, or when the
+    last three level sums converge quadratically with room to spare."""
+
+    TARGET = mp.mpf(10) ** -53
+
+    @staticmethod
+    def sums(*differences):
+        """Level sums from 1 whose successive differences are the given ones."""
+        out = [mp.mpf(0), mp.mpf(1)]
+        for d in differences:
+            out.append(out[-1] + d)
+        return out
+
+    def test_agreement_is_accepted_as_before(self):
+        got = _accepted_error(self.sums(mp.mpf(10) ** -20, mp.mpf(10) ** -60), self.TARGET)
+        assert abs(got - mp.mpf(10) ** -60) <= mp.mpf(10) ** -75
+
+    def test_quadratic_levels_accepted_early(self):
+        # 20 then 40 digits of agreement, short of the 53 asked for: the next
+        # difference is about 10**-80, reported times the margin 1000
+        got = _accepted_error(self.sums(mp.mpf(10) ** -20, mp.mpf(10) ** -40), self.TARGET)
+        assert abs(got - mp.mpf(10) ** -77) <= mp.mpf(10) ** -90
+        # never before level 3
+        assert _accepted_error(self.sums(mp.mpf(10) ** -40), self.TARGET) is None
+
+    def test_not_yet_quadratic_falls_back_to_agreement(self):
+        # 20 then 25 digits: D1 = -25 > 1.5 * D2 = -30, so level 3 is not
+        # accepted, however small 10**(2 * D1) is against the target ...
+        sums = self.sums(mp.mpf(10) ** -20, mp.mpf(10) ** -25)
+        assert _accepted_error(sums, self.TARGET) is None
+        # ... and level 4 is accepted by agreement alone
+        sums.append(sums[-1] + mp.mpf(10) ** -60)
+        assert abs(_accepted_error(sums, self.TARGET) - mp.mpf(10) ** -60) <= mp.mpf(10) ** -75
+
+    def test_quadratic_but_short_of_target_continues(self):
+        # 30 then 45 digits: E = 10**(45**2 / -30) = 10**-67.5, times the
+        # margin 1000, is above a target of 1e-70
+        sums = self.sums(mp.mpf(10) ** -30, mp.mpf(10) ** -45)
+        assert _accepted_error(sums, mp.mpf(10) ** -70) is None
+
+    @pytest.mark.parametrize("digits", [25, 50, 200])
+    def test_corpus_against_deeper_run(self, digits):
+        ctx = make_context(digits)
+        for f, a, b, _ in _corpus(ctx):
+            r = tanh_sinh(f, a, b, ctx)
+            truth = tanh_sinh(f, a, b, ctx.bumped(20)).value
+            gap = abs(r.value - truth)
+            assert gap <= mp.mpf(10) ** -(digits + 3) * max(1, abs(truth))
+            assert gap <= 10 * r.error_estimate
+
+
+class TestNodeTables:
+    """Each node's e^t comes from a running product, reseeded every _RESEED
+    nodes; offsets and weights must match the direct sinh/cosh/exp formula
+    to 10**-(dps-10) relative, on every level `length --erdos 1 --digits
+    1000` uses (0 to 9)."""
+
+    @staticmethod
+    def direct(t, dps):
+        with mp.workdps(dps + 20):
+            u = mp.pi / 2 * mp.sinh(t)
+            e = mp.exp(-2 * u)
+            return 2 * e / (1 + e), mp.pi / 2 * mp.cosh(t) * 4 * e / (1 + e) ** 2
+
+    @pytest.mark.parametrize("dps,clip", [(85, 130), (1035, 2030)])
+    def test_recurrence_against_direct_formula(self, dps, clip):
+        tol = mp.mpf(10) ** -(dps - 10)
+        for level in range(10):
+            table = _nodes(clip, level, dps)
+            h = mp.mpf(2) ** -level
+
+            def t(n):  # the abscissa of entry n
+                return n * h if level == 0 else (2 * n + 1) * h
+
+            # every node on the short tables; on the long ones at 1035 places
+            # the last node of each reseed block, where the product has
+            # drifted most, and the last node of the table
+            every = dps < 1000 or level < 7
+            checked = [n for n in range(len(table))
+                       if every or n % _RESEED == _RESEED - 1 or n == len(table) - 1]
+            for n in checked:
+                delta, w = table[n]
+                ref_delta, ref_w = self.direct(t(n), dps)
+                assert abs(delta - ref_delta) <= tol * ref_delta, (level, n)
+                assert abs(w - ref_w) <= tol * ref_w, (level, n)
+            # the same length: the direct offset crosses the clip just there
+            assert self.direct(t(len(table) - 1), dps)[0] >= mp.mpf(10) ** -clip
+            assert self.direct(t(len(table)), dps)[0] < mp.mpf(10) ** -clip
 
 
 class TestBetaIntegralCheck:
