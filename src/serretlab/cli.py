@@ -151,8 +151,9 @@ def _report(ns, params, rows, citations, digits=None, **extra):
 
 
 def _write_svg(path, polylines, markers, opts):
+    doc = render.emit_svg(polylines, markers, opts)  # a usage error writes no file
     with open(path, "w") as fh:
-        fh.write(render.emit_svg(polylines, markers, opts))
+        fh.write(doc)
 
 
 def cmd_length(ns) -> int:

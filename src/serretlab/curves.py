@@ -12,18 +12,15 @@ Families
   accepted only by the render module.
 
 Two independent total-length routes are provided: closed forms (Beta /
-2F1 / K) and direct quadrature of the arc-length integrals, radial
+2F1 / K) and direct quadrature of the arc-length integral in the radius,
 
     l = 2k int 2 r^k dr / sqrt((r^2k - (a^k-1)^2)((1+a^k)^2 - r^2k))
 
-or angular
-
-    l = 4 (1+a^k)^-(k-1)/k int_0^{pi/2} (1 - pb sin^2 phi)^-(k-1)/2k dphi
-
-with pb = 4 a^k/(1+a^k)^2.  Note two distinct helper constants named b
-exist in the Cassini literature; here ``cassini_b`` always means
-(1-a^4)/a^4 (reduced-integral form) and ``pfaff_b`` means
-4a^k/(1+a^k)^2 (angular form); they never meet in one formula.
+for Regular curves, taken in y = r^k by ``radial_arc_integral``, which
+also gives the arc between two radii that the Cassini division checks.
+The angular forms of the same lengths are test oracles only.
+``cassini_b`` is (1-a^4)/a^4, the constant of the reduced Cassini
+integral.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from mpmath import mp
 
 from .errors import ConfigurationError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
-from .quadrature import _one_minus_power, _rational_power, tanh_sinh
+from .quadrature import _one_minus_power, tanh_sinh
 from .specfun import beta, carlson_rf, ellip_k, hyp2f1
 
 
@@ -132,21 +129,18 @@ def exponent_2q(curve) -> Fraction:
     raise DomainError(f"no normalized arc exponent for {type(curve).__name__}")
 
 
-def polar_radius(curve, theta, ctx: PrecisionContext, branch: str = "outer") -> PolarPoint:
+def polar_radius(curve, theta, ctx: PrecisionContext) -> PolarPoint:
     """Solve the polar equation for r >= 0 at the given angle.
 
     Erdos/sinusoidal leaves need |q theta| <= pi/2.  For Regular curves
     the quadratic in r^k gives r^k = a^k cos(k theta) +/- sqrt(1 -
-    a^2k sin^2(k theta)); ``branch`` picks the root, and the inner one
-    exists only for a > 1 on the angular window where the radicand is
-    nonnegative.
+    a^2k sin^2(k theta)); this returns the outer (+) root, for a > 1 on
+    the angular window where the radicand is nonnegative.
     """
     with ctx.workdps():
         theta = as_real(theta, ctx)
         slack = mp.mpf(10) ** (-ctx.digits)
         if isinstance(curve, Sinusoidal):
-            if branch != "outer":
-                raise DomainError("leaf curves have a single branch")
             q = as_real(curve.q, ctx)
             c = 2 * mp.cos(q * theta)
             if c < 0:
@@ -167,17 +161,9 @@ def polar_radius(curve, theta, ctx: PrecisionContext, branch: str = "outer") -> 
                     raise DomainError(
                         f"theta={theta} outside the component of C_(a={a}, k={k})")
                 radicand = mp.mpf(0)
-            root = mp.sqrt(radicand)
-            if branch == "outer":
-                rk = ak * mp.cos(k * theta) + root
-            elif branch == "inner":
-                if a < 1:
-                    raise DomainError("inner branch exists only for a > 1")
-                rk = ak * mp.cos(k * theta) - root
-            else:
-                raise ConfigurationError(f"unknown branch {branch!r}")
+            rk = ak * mp.cos(k * theta) + mp.sqrt(radicand)
             if rk <= 0:
-                raise DomainError(f"no positive radius at theta={theta} ({branch})")
+                raise DomainError(f"no positive radius at theta={theta}")
             return PolarPoint(mp.power(rk, mp.mpf(1) / k), theta)
         raise DomainError("polar_radius does not accept PolyLemniscate")
 
@@ -241,24 +227,13 @@ def total_length_closed(curve, ctx: PrecisionContext) -> BigReal:
         raise DomainError("no closed-form length for PolyLemniscate")
 
 
-def total_length_quadrature(curve, ctx: PrecisionContext, route: str = "radial") -> BigReal:
-    """Total length by direct quadrature, independent of the closed forms.
-
-    ``route='radial'`` integrates in the radius (default; both endpoint
-    singularities handled by tanh-sinh), ``route='angular'`` uses the
-    smooth angular integral, available for Regular curves.
-    """
+def total_length_quadrature(curve, ctx: PrecisionContext) -> BigReal:
+    """Total length by direct quadrature in the radius, independent of the
+    closed forms; tanh-sinh handles both endpoint singularities."""
     if isinstance(curve, PolyLemniscate):
         raise DomainError("no arc-length quadrature for PolyLemniscate")
-    if route not in ("radial", "angular"):
-        raise ConfigurationError(f"unknown route {route!r}")
     with ctx.workdps():
         if isinstance(curve, Sinusoidal):
-            if route == "angular":
-                # at a = 1 the angular integrand degenerates to
-                # cos(phi)^-(k-1)/k, whose tail is too shallow for the
-                # default node cutoff; leaves use the radial form only
-                raise ConfigurationError("angular route needs a Regular curve")
             q = as_real(curve.q, ctx)
             twoq = exponent_2q(curve)
             leaves = curve.leaves
@@ -269,126 +244,35 @@ def total_length_quadrature(curve, ctx: PrecisionContext, route: str = "radial")
                 return 1 / mp.sqrt(_one_minus_power(node[2] / top, twoq))
 
             return 2 * leaves * tanh_sinh(f, 0, top, ctx).value
-        a, k = curve.a, curve.k
-        av = as_real(a, ctx)
-        ak = av ** k
-        if route == "angular":
-            inv = av < 1
-            base = av if inv else 1 / av
-            bk = base ** k
-            pfaff_b = 4 * bk / (1 + bk) ** 2
-            expo = mp.mpf(k - 1) / (2 * k)
-            comp = (1 - bk) ** 2 / (1 + bk) ** 2  # 1 - pfaff_b, cancellation-free
+        ak = as_real(curve.a, ctx) ** curve.k
+        return 4 * radial_arc_integral(ak, curve.k, abs(1 - ak), 1 + ak, ctx)
 
-            def f(node):
-                # 1 - pb sin^2 = cos^2 + (1-pb) sin^2; at a = 1 the raw
-                # form cancels to rounding noise near phi = pi/2
-                phi = node[0]
-                w = mp.cos(phi) ** 2 + comp * mp.sin(phi) ** 2
-                return mp.power(w, -expo)
 
-            val = 4 / (1 + bk) ** (mp.mpf(k - 1) / k) * tanh_sinh(f, 0, mp.pi / 2, ctx).value
-            return val if inv else val * base ** (k - 1)
-        # evaluate the radial integral through y = r^k, whose endpoints
-        # |1 - a^k| and 1 + a^k are exact; the singular quadratic factors
-        # are kept in factored form, with the offsets from the endpoints
-        # taken from the node:
-        #   2k int 2 r^k dr / sqrt(.) = 4 int y^(1/k) dy / sqrt(.)
+def radial_arc_integral(ak, k: int, ya, yb, ctx: PrecisionContext) -> BigReal:
+    """int_ya^yb y^(1/k) dy / sqrt((y^2 - y_lo^2)(y_hi^2 - y^2)) on |z^k - a^k| = 1.
+
+    y = r^k runs between y_lo = |1 - a^k| and y_hi = 1 + a^k, which are
+    exact, and 2k int 2 r^k dr / sqrt(.) = 4 int y^(1/k) dy / sqrt(.): along
+    a stretch where r is monotone the arc between y = ya and y = yb is 2/k
+    times this integral, and 4 times it from y_lo to y_hi is l(C).  The
+    singular factors y - y_lo and y_hi - y are the limit's gap to y_lo or
+    y_hi plus the node's distance from that limit.  ak, ya and yb must be
+    formed at working precision, where the gaps are, so that a limit on an
+    endpoint leaves a gap of exactly 0.
+    """
+    with ctx.workdps():
         y_lo = abs(1 - ak)
         y_hi = 1 + ak
+        gap_lo, gap_hi = ya - y_lo, y_hi - yb
+        if gap_lo < 0 or gap_hi < 0:
+            raise DomainError(f"need {y_lo} <= ya < yb <= {y_hi}, got {ya}, {yb}")
 
         def f(node):
             y, da, db = node
-            quart = da * (y + y_lo) * db * (y_hi + y)
+            quart = (gap_lo + da) * (y + y_lo) * (gap_hi + db) * (y_hi + y)
             return mp.root(y, k) / mp.sqrt(quart)
 
-        return 4 * tanh_sinh(f, y_lo, y_hi, ctx).value
-
-
-def _angular_window(curve, ctx: PrecisionContext):
-    """(period, half-width) of the windows |theta - j period| <= half-width
-    holding the outer branch, or None when it covers every angle
-    (Regular, a < 1)."""
-    if isinstance(curve, Sinusoidal):
-        q = as_real(curve.q, ctx)
-        return 2 * mp.pi / q, mp.pi / (2 * q)
-    if curve.a < 1:
-        return None
-    k = curve.k
-    return 2 * mp.pi / k, mp.asin(as_real(curve.a, ctx) ** (-k)) / k
-
-
-def polar_arc_length(curve, theta1, theta2, ctx: PrecisionContext) -> BigReal:
-    """Arc length along the outer branch between two angles.
-
-    Uses ds = r(theta) dtheta / sqrt(1 - a^2k sin^2(k theta)) for
-    Regular curves and ds = r dtheta / |cos(q theta)| for leaves (the
-    a = 1 degeneration of the same identity).  Where the branch ends at
-    an angle (the leaf edge pi/(2q), or asin(a^-k)/k for a > 1, about
-    the window center), the vanishing factor is formed from the node's
-    distance e to that edge, taken from the integration limits and the
-    node offsets; a limit within 10**-(working_digits - 5) of an edge is
-    taken to be the edge.
-    """
-    if isinstance(curve, PolyLemniscate):
-        raise DomainError("no arc length for PolyLemniscate")
-    if isinstance(curve, Sinusoidal):
-        # at the leaf edge the integrand behaves like cos(q theta)^(1/q - 1)
-        alpha = min(1 / float(curve.q) - 1, -0.5)
-    else:
-        alpha = -0.5
-    with ctx.workdps():
-        t1 = as_real(theta1, ctx)
-        t2 = as_real(theta2, ctx)
-        if t1 == t2:
-            return mp.mpf(0)
-        if t1 > t2:
-            t1, t2 = t2, t1
-        window = _angular_window(curve, ctx)
-        if window is not None:
-            period, edge = window
-            center = period * mp.nint((t1 + t2) / (2 * period))
-            # distances of the limits from the window edges
-            gap_lo, gap_hi = (t1 - center) + edge, edge - (t2 - center)
-            snap = mp.mpf(10) ** (-(ctx.working_digits - 5))
-            if gap_lo < -snap or gap_hi < -snap:
-                raise DomainError(f"angles {t1}, {t2} leave the window of half-width {edge}")
-            if gap_lo <= snap:
-                gap_lo, t1 = mp.mpf(0), center - edge
-            if gap_hi <= snap:
-                gap_hi, t2 = mp.mpf(0), center + edge
-
-        if isinstance(curve, Sinusoidal):
-            q = as_real(curve.q, ctx)
-            inv_q = 1 / curve.q
-
-            def f(node):
-                _, da, db = node
-                # cos(q theta) = sin(q e), e the distance from the nearer edge
-                c = mp.sin(q * min(gap_lo + da, gap_hi + db))
-                return _rational_power(2 * c, inv_q) / c
-        else:
-            a = as_real(curve.a, ctx)
-            k = curve.k
-            ak = a ** k
-            a2k = ak * ak
-
-            def f(node):
-                th, da, db = node
-                if window is None:
-                    w = 1 - a2k * mp.sin(k * th) ** 2
-                else:
-                    # with |theta - center| = edge - e and a^k sin(k edge) = 1,
-                    # 1 - a^k sin(k(edge - e)) = 2 a^k cos(k(edge - e/2)) sin(k e/2)
-                    e = min(gap_lo + da, gap_hi + db)
-                    w = (2 * ak * mp.cos(k * (edge - e / 2)) * mp.sin(k * e / 2)
-                         * (1 + ak * mp.sin(k * (edge - e))))
-                if w <= 0:
-                    raise DomainError(f"angle {th} outside the component")
-                rk = ak * mp.cos(k * th) + mp.sqrt(w)
-                return mp.root(rk, k) / mp.sqrt(w)
-
-        return tanh_sinh(f, t1, t2, ctx, min_endpoint_exponent=alpha).value
+        return tanh_sinh(f, ya, yb, ctx).value
 
 
 def cassini_b(a, ctx: PrecisionContext) -> BigReal:
@@ -396,6 +280,17 @@ def cassini_b(a, ctx: PrecisionContext) -> BigReal:
     with ctx.workdps():
         av = as_real(a, ctx)
         return (1 - av ** 4) / av ** 4
+
+
+def _cassini_scale(a, ctx: PrecisionContext) -> tuple:
+    """(v0, pref) of the reduced Cassini integral at working + 10 digits:
+    its lower limit v0 = sqrt(1 - a^4) and prefactor a^2 (4 (1 - a^4)/a^4)^(1/4)."""
+    with ctx.workdps(10):
+        av = as_real(a, ctx)
+        if not 0 < av < 1:
+            raise DomainError(f"need 0 < a < 1, got {av}")
+        c = 1 - av ** 4
+        return mp.sqrt(c), av ** 2 * mp.power(4 * c / av ** 4, mp.mpf(1) / 4)
 
 
 def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
@@ -407,12 +302,8 @@ def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
     U12 = Y1 Y2 X3 X4/d, U13 = X1 X3 Y2 Y4/d, U14 = Y1 Y4 X2 X3/d, with
     d = v - v0 and X_i, Y_i the roots of v + v0, v, v - v0, 1 - v at v, v0.
     """
+    vlo, pref = _cassini_scale(a, ctx)
     with ctx.workdps(10):
-        av = as_real(a, ctx)
-        if not 0 < av < 1:
-            raise DomainError(f"need 0 < a < 1, got {av}")
-        c = 1 - av ** 4
-        vlo = mp.sqrt(c)
         vu = as_real(v_upper, ctx)
         slack = mp.mpf(10) ** (-ctx.digits)
         if vu > 1 + slack or vu < vlo - slack:
@@ -425,25 +316,14 @@ def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
         d = vu - vlo
         if d <= mp.mpf(10) ** (-(ctx.working_digits - 5)):
             return mp.mpf(0)
-        pref = av ** 2 * mp.power(4 * c / av ** 4, mp.mpf(1) / 4)
         # the squares, with X3^2 = d cancelled once
         return 2 * pref * carlson_rf(2 * vlo * vlo * (1 - vu) / d, vlo * (1 - vlo) * (vu + vlo) / d,
                                      2 * vlo * (1 - vlo) * vu / d, ctx)
 
 
-def v_of_u(u, a, ctx: PrecisionContext) -> BigReal:
-    """v(u) = (cos(u)^2 / b + 1)^(-1/2) with b = (1-a^4)/a^4, u in [0, pi/2]."""
-    with ctx.workdps():
-        uv = as_real(u, ctx)
-        slack = mp.mpf(10) ** (-ctx.digits)
-        if uv < -slack or uv > mp.pi / 2 + slack:
-            raise DomainError(f"need 0 <= u <= pi/2, got {uv}")
-        b = cassini_b(a, ctx)
-        return mp.power(mp.cos(uv) ** 2 / b + 1, mp.mpf(-1) / 2)
-
-
 def cos_u_of_v(v, a, ctx: PrecisionContext) -> BigReal:
-    """Inverse of :func:`v_of_u`: cos(u) = sqrt(b) sqrt(v^-2 - 1)."""
+    """cos(u) = sqrt(b) sqrt(v^-2 - 1), the inverse of v(u) = (cos(u)^2 / b + 1)^(-1/2)
+    with b = (1-a^4)/a^4, u in [0, pi/2]."""
     with ctx.workdps():
         vv = as_real(v, ctx)
         if not 0 < vv <= 1:

@@ -14,7 +14,9 @@ falling outside the bracket of residual signs are replaced by bisection).
 Cassini division solves, in the reduced variable v, the condition that
 the cumulative reduced integral (one Carlson R_F) reaches (n-1)/n of
 its total; the two resulting points at angles u/2 and pi/2 - u/2 bound
-the shortest arc of length l(C_a)/(4n).
+the shortest arc of length l(C_a)/(4n).  That arc is checked by
+quadrature in y = r^2 between the points (``radial_arc_integral``),
+which shares nothing with the R_F solve or with the closed-form length.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .curves import (Regular, Sinusoidal, cassini_reduced_integral, cos_u_of_v, exponent_2q,
-                     normalized_arc_integral, polar_arc_length, polar_radius,
+from .curves import (Regular, Sinusoidal, _cassini_scale, cassini_reduced_integral, cos_u_of_v,
+                     exponent_2q, normalized_arc_integral, polar_radius, radial_arc_integral,
                      total_length_closed)
 from .errors import ConfigurationError, ConvergenceError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
-from .quadrature import _one_minus_power, tanh_sinh
 
 
 @dataclass(frozen=True)
@@ -55,31 +56,6 @@ class CassiniDivision:
     arc_length: BigReal
     residual: BigReal       # |I(u) - (n-1)/n I(pi/2)|
     arc_residual: BigReal   # |arc_length - l(C_a)/(4n)|
-
-
-def subarc_length(curve, s_a, s_b, ctx: PrecisionContext) -> BigReal:
-    """Arc length between normalized radii s_a <= s_b, by fresh quadrature.
-
-    2^(1/q) int_{s_a}^{s_b} ds / sqrt(1 - s^(2q)); independent of the
-    closed-form F, so it can serve as an oracle for it.
-    """
-    if not isinstance(curve, Sinusoidal):
-        raise DomainError("subarc_length needs an Erdos or Sinusoidal curve")
-    with ctx.workdps():
-        twoq = exponent_2q(curve)
-        sa = as_real(s_a, ctx)
-        sb = as_real(s_b, ctx)
-        if not 0 <= sa <= sb <= 1:
-            raise DomainError(f"need 0 <= s_a <= s_b <= 1, got {sa}, {sb}")
-        if sa == sb:
-            return mp.mpf(0)
-        scale = mp.power(2, 2 / as_real(twoq, ctx))
-        gap = 1 - sb  # distance of the upper limit from the singular s = 1
-
-        def f(node):
-            return 1 / mp.sqrt(_one_minus_power(gap + node[2], twoq))
-
-        return scale * tanh_sinh(f, sa, sb, ctx).value
 
 
 def _solve_monotone(F, step, frac: Fraction, lower, total: BigReal,
@@ -188,8 +164,10 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
 
     Solves I(u) = ((n-1)/n) I(pi/2) through the reduced v-integral
     (Newton with the closed-form derivative of the v-integral), then
-    places the points at angles u/2 and pi/2 - u/2 and re-integrates
-    the polar arc between them as an independent check.
+    places the points at angles u/2 and pi/2 - u/2.  As an independent
+    check the arc between them is integrated in y = r^2, which is
+    monotone in the angle on [0, pi/2]: the points sit at
+    y = +/- a^2 cos(u) + sqrt(1 - a^4 sin(u)^2).
     """
     if not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"need integer n >= 1, got {n!r}")
@@ -197,11 +175,9 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
     if not 0 < a < 1:
         raise DomainError(f"need 0 < a < 1, got {a}")
     curve = Regular(a, 2)
+    vlo, pref = _cassini_scale(a, ctx)
     with ctx.workdps(10):
-        av = as_real(a, ctx)
-        vlo = mp.sqrt(1 - av ** 4)
         total = cassini_reduced_integral(a, 1, ctx)
-        pref = av ** 2 * mp.power(4 * (1 - av ** 4) / av ** 4, mp.mpf(1) / 4)
         # n = 1 starts on the root v = vlo, where F = 0 = target
         v, resid = _solve_monotone(
             lambda x: cassini_reduced_integral(a, x, ctx),
@@ -213,7 +189,14 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
         u = mp.acos(cos_u)
         p1 = polar_radius(curve, u / 2, ctx)
         p2 = polar_radius(curve, mp.pi / 2 - u / 2, ctx)
-        arc = polar_arc_length(curve, u / 2, mp.pi / 2 - u / 2, ctx)
+        # the limits at the integral's own precision, so that at n = 1 they
+        # are exactly its endpoints 1 - a^2 and 1 + a^2; for k = 2 the arc
+        # is the integral itself
+        with ctx.workdps():
+            a2 = as_real(a, ctx) ** 2
+            c = a2 * cos_u
+            root = mp.sqrt(1 - a2 * a2 * mp.sin(u) ** 2)
+            arc = radial_arc_integral(a2, 2, root - c, root + c, ctx)
         expected = total_length_closed(curve, ctx) / (4 * n)
         arc_resid = abs(arc - expected)
         bound = mp.mpf(10) ** (-ctx.digits + 5)

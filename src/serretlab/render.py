@@ -35,6 +35,10 @@ STROKE = "#204080"
 MARKER_FILL = "#c02020"
 # trace_polar builds at most this many vertices (10^5 take about 0.4 s and 35 MB)
 MAX_POLAR_VERTICES = 200_000
+# no SVG pixel coordinate exceeds this in absolute value: a bbox that maps
+# a curve point beyond it zooms past any drawable detail, and would write
+# coordinates of up to 300 digits
+MAX_PIXEL_OFFSET = 1e9
 
 
 @dataclass(frozen=True)
@@ -277,6 +281,10 @@ def _to_pixels(pts, opts: RenderOptions):
     for x, y in pts:
         px = (float(x) - cx) * scale + VIEWPORT_PX / 2
         py = VIEWPORT_PX / 2 - (float(y) - cy) * scale
+        if max(abs(px), abs(py)) > MAX_PIXEL_OFFSET:
+            raise ConfigurationError(
+                f"bbox {opts.bbox} puts the point ({float(x)}, {float(y)}) at pixel "
+                f"({px:.3g}, {py:.3g}), beyond {MAX_PIXEL_OFFSET:g}")
         out.append((px, py))
     return out
 

@@ -16,13 +16,12 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from oracles import beta_integral_check
+from oracles import angular_total_length, beta_integral_check, subarc_length
 from serretlab.algebra import documented_degree_bound, minpoly, pslq
 from serretlab.cli import main
 from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
                               total_length_closed, total_length_quadrature)
-from serretlab.division import (divide_cassini, divide_fundamental_arc, expand_by_symmetry,
-                                subarc_length)
+from serretlab.division import divide_cassini, divide_fundamental_arc, expand_by_symmetry
 from serretlab.numkernel import make_context
 from serretlab.render import RenderOptions, trace_implicit
 
@@ -85,7 +84,7 @@ def test_criterion_05_cassini_three_routes(ctx50):
     for a in (Fraction(3, 10), Fraction(3, 5), Fraction(9, 10)):
         with ctx50.workdps():
             av = mp.mpf(a.numerator) / a.denominator
-            angular = total_length_quadrature(Regular(a, 2), ctx50, "angular")
+            angular = angular_total_length(Regular(a, 2), ctx50)
             kform = 4 * ellip_k((1 - mp.sqrt(1 - av ** 4)) / 2, ctx50)
             f21 = 2 * mp.pi * hyp2f1(mp.mpf(1) / 4, mp.mpf(1) / 4, 1, av ** 4, ctx50)
             worst = max(worst, abs(angular - kform), abs(angular - f21),

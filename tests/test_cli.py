@@ -336,6 +336,7 @@ class TestPlot:
         ["--erdos", "2", "--bbox=-inf,-1,inf,1"],          # infinite bounds
         ["--erdos", "2", "--bbox=0,0,1e-320,1e-320"],      # infinite pixel scale
         ["--poly", "1,0,-1", "--bbox=-1e308,-1e308,1e308,1e308", "--grid", "64"],  # span
+        ["--erdos", "2", "--bbox=0,0,1e-300,1e-300"],      # curve 1e303 pixels away
     ])
     def test_bbox_must_map_to_finite_pixels(self, capsys, tmp_path, argv):
         target = tmp_path / "x.svg"
@@ -343,6 +344,14 @@ class TestPlot:
         assert code == 2 and not target.exists()
         doc = json.loads(out)
         assert doc["exit_code"] == 2 and doc["error"]["kind"] == "ConfigurationError"
+
+    def test_deep_zoom_within_the_pixel_bound(self, capsys, tmp_path):
+        # a 1e-6 bbox at the lemniscate's node keeps every coordinate
+        # within 1e9 pixels, so the file is drawn at the usual size
+        target = tmp_path / "x.svg"
+        code, _, _ = run(capsys, "plot", "--erdos", "2", "--bbox=-1e-6,-1e-6,1e-6,1e-6",
+                         "--out", str(target))
+        assert code == 0 and target.stat().st_size < 100_000
 
     def test_samples_bound(self, capsys, tmp_path):
         # the vertex count is bounded before any is built

@@ -4,13 +4,14 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from oracles import angular_arc_length, angular_total_length, subarc_length, v_of_u
 from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
                               cassini_reduced_integral, cos_u_of_v, exponent_2q,
-                              normalized_arc_integral, polar_arc_length, polar_radius,
-                              total_length_closed, total_length_quadrature, v_of_u)
-from serretlab.division import divide_fundamental_arc, subarc_length
+                              normalized_arc_integral, polar_radius, radial_arc_integral,
+                              total_length_closed, total_length_quadrature)
+from serretlab.division import divide_fundamental_arc
 from serretlab.errors import ConfigurationError, DomainError
-from serretlab.numkernel import make_context
+from serretlab.numkernel import as_real, make_context
 from serretlab.quadrature import tanh_sinh
 from serretlab.specfun import beta, hyp2f1
 
@@ -86,12 +87,7 @@ class TestPolarRadius:
     def test_leaf_domain(self, ctx50):
         with pytest.raises(DomainError):
             polar_radius(Erdos(2), mp.pi / 2, ctx50)
-
-    def test_inner_branch(self, ctx50):
-        p = polar_radius(Regular(2, 2), 0, ctx50, branch="inner")
-        assert abs(p.r ** 2 - (4 - mp.mpf(1))) < mp.mpf(10) ** -48  # 4 - sqrt(1)
-        with pytest.raises(DomainError):
-            polar_radius(Regular(Fraction(1, 2), 2), 0, ctx50, branch="inner")
+        # for a > 1 each oval has an angular window too
         with pytest.raises(DomainError):
             polar_radius(Regular(2, 2), mp.pi / 3, ctx50)  # outside the oval
 
@@ -179,17 +175,9 @@ class TestTotalLengths:
 
     def test_angular_route_matches(self, ctx50):
         for curve in (Regular(Fraction(4, 5), 2), Regular(2, 2)):
-            r = total_length_quadrature(curve, ctx50, "radial")
-            g = total_length_quadrature(curve, ctx50, "angular")
+            r = total_length_quadrature(curve, ctx50)
+            g = angular_total_length(curve, ctx50)
             assert abs(r - g) < mp.mpf(10) ** -45
-
-    def test_angular_rejects_leaves(self, ctx50):
-        with pytest.raises(ConfigurationError):
-            total_length_quadrature(Erdos(2), ctx50, "angular")
-
-    def test_unknown_route(self, ctx50):
-        with pytest.raises(ConfigurationError):
-            total_length_quadrature(Erdos(2), ctx50, "spiral")
 
     def test_poly_rejected(self, ctx50):
         with pytest.raises(DomainError):
@@ -274,55 +262,23 @@ class TestCassiniPieces:
             cos_u_of_v(mp.mpf("1.5"), self.A, ctx50)
 
 
-def _edge_3_2_k3():
-    """asin(a^-k)/k for a = 3/2, k = 3: the outer branch ends at this angle."""
-    return mp.asin(mp.mpf(8) / 27) / 3
-
-
-# the outer arc of C_(3/2, 3) from theta = -1/10 to the window edge, by an
-# independent tanh-sinh evaluation in theta at 170 places
-REGULAR_3_2_K3_ARC = "0.4894030922667066734771671942200988016391372784320229437"
+def _cassini_arc(a, theta1, theta2, ctx):
+    """The arc of C_a between two angles in [0, pi/2], by the package's
+    radial integral between the radii there."""
+    curve = Regular(a, 2)
+    with ctx.workdps():
+        ya, yb = sorted(polar_radius(curve, t, ctx).r ** 2 for t in (theta1, theta2))
+        return radial_arc_integral(as_real(a, ctx) ** 2, 2, ya, yb, ctx)
 
 
 class TestPolarArcLength:
-    @pytest.mark.parametrize("digits", [50, 100])
-    def test_window_edge_above_one(self, digits):
-        ctx = make_context(digits)
-        curve = Regular(Fraction(3, 2), 3)
-        arc = polar_arc_length(curve, mp.mpf(-1) / 10, _edge_3_2_k3(), ctx)
-        assert abs(arc - mp.mpf(REGULAR_3_2_K3_ARC)) < mp.mpf(10) ** -54
-        # the same window about the next center 2 pi / 3, and rounding noise
-        # past the edge snaps onto it
-        shifted = polar_arc_length(curve, 2 * mp.pi / 3 - mp.mpf(1) / 10,
-                                   2 * mp.pi / 3 + _edge_3_2_k3(), ctx)
-        assert abs(shifted - arc) < mp.mpf(10) ** -digits
-        noisy = polar_arc_length(curve, mp.mpf(-1) / 10,
-                                 _edge_3_2_k3() + mp.mpf(10) ** -(digits + 16), ctx)
-        assert abs(noisy - arc) < mp.mpf(10) ** -digits
-        with pytest.raises(DomainError):
-            polar_arc_length(curve, 0, _edge_3_2_k3() + mp.mpf(10) ** -6, ctx)
-
+    """The angular arc oracle that the Cassini division's radial check is
+    tested against."""
 
     def test_quarter_oval(self, ctx50):
         curve = Regular(Fraction(4, 5), 2)
-        quarter = polar_arc_length(curve, 0, mp.pi / 2, ctx50)
+        quarter = angular_arc_length(curve, 0, mp.pi / 2, ctx50)
         assert abs(quarter - total_length_closed(curve, ctx50) / 4) < mp.mpf(10) ** -45
-
-    def test_leaf_half(self, ctx50):
-        arc = polar_arc_length(Erdos(3), 0, mp.pi / 6, ctx50)
-        assert abs(arc - total_length_closed(Erdos(3), ctx50) / 6) < mp.mpf(10) ** -45
-        # edge to edge, one whole leaf, and the leaf about 2 pi / q for q = 3/2
-        leaf = polar_arc_length(Erdos(3), -mp.pi / 6, mp.pi / 6, ctx50)
-        assert abs(leaf - total_length_closed(Erdos(3), ctx50) / 3) < mp.mpf(10) ** -45
-        curve = Sinusoidal(3, 2)
-        leaf = polar_arc_length(curve, mp.pi, 5 * mp.pi / 3, ctx50)
-        assert abs(leaf - total_length_closed(curve, ctx50) / 3) < mp.mpf(10) ** -45
-
-    def test_degenerate_and_swap(self, ctx50):
-        assert polar_arc_length(Erdos(2), mp.mpf("0.3"), mp.mpf("0.3"), ctx50) == 0
-        a = polar_arc_length(Erdos(2), 0, mp.mpf("0.5"), ctx50)
-        b = polar_arc_length(Erdos(2), mp.mpf("0.5"), 0, ctx50)
-        assert a == b
 
 
 class TestWorkingPrecision:
@@ -337,19 +293,17 @@ class TestWorkingPrecision:
          345),
         ("regular a=3/2 k=2", lambda ctx: total_length_quadrature(Regular(Fraction(3, 2), 2), ctx),
          345),
-        ("regular angular", lambda ctx: total_length_quadrature(Regular(Fraction(4, 5), 3), ctx,
-                                                                "angular"), 691),
-        ("cassini arc", lambda ctx: polar_arc_length(Regular(Fraction(4, 5), 2), mp.mpf(1) / 5,
-                                                     mp.pi / 3, ctx), 345),
-        ("leaf arc", lambda ctx: polar_arc_length(Erdos(3), 0, mp.pi / 6, ctx), 371),
-        ("window arc", lambda ctx: polar_arc_length(Regular(Fraction(3, 2), 3), mp.mpf(-1) / 10,
-                                                    _edge_3_2_k3(), ctx), 691),
+        ("regular angular", lambda ctx: angular_total_length(Regular(Fraction(4, 5), 3), ctx),
+         691),
+        ("cassini arc", lambda ctx: _cassini_arc(Fraction(4, 5), mp.mpf(1) / 5, mp.pi / 3, ctx),
+         345),
         ("subarc", lambda ctx: subarc_length(Sinusoidal(1, 3), mp.mpf(1) / 4, 1, ctx), 345),
     ]
 
     @pytest.mark.parametrize("label,call,evals", CASES, ids=[c[0] for c in CASES])
     def test_integrand_precision_and_count(self, monkeypatch, label, call, evals):
-        from serretlab import curves, division
+        import oracles
+        from serretlab import curves
 
         seen = []
 
@@ -359,7 +313,7 @@ class TestWorkingPrecision:
                 return f(node)
             return tanh_sinh(g, *args, **kwargs)
 
-        for mod in (curves, division):
+        for mod in (curves, oracles):
             monkeypatch.setattr(mod, "tanh_sinh", recording)
         ctx = make_context(50)
         call(ctx)
@@ -369,7 +323,8 @@ class TestWorkingPrecision:
 
 def _record_quadratures(monkeypatch, call, ctx):
     """The results of every tanh_sinh run that ``call(ctx)`` makes."""
-    from serretlab import curves, division
+    import oracles
+    from serretlab import curves
 
     results = []
 
@@ -377,7 +332,7 @@ def _record_quadratures(monkeypatch, call, ctx):
         results.append(tanh_sinh(*args, **kwargs))
         return results[-1]
 
-    for mod in (curves, division):
+    for mod in (curves, oracles):
         monkeypatch.setattr(mod, "tanh_sinh", recording)
     call(ctx)
     return results
@@ -392,8 +347,8 @@ EDGE_CASES = [
     ("erdos 40", lambda ctx: total_length_quadrature(Erdos(40), ctx)),
     *[(f"regular a={a} k={k}", lambda ctx, a=a, k=k: total_length_quadrature(Regular(a, k), ctx))
       for a in (Fraction(49, 50), Fraction(51, 50)) for k in (2, 3, 4, 5)],
-    ("cassini a=1/10", lambda ctx: polar_arc_length(Regular(Fraction(1, 10), 2), mp.mpf(1) / 10,
-                                                    mp.mpf(7) / 5, ctx)),
+    ("cassini a=1/10", lambda ctx: _cassini_arc(Fraction(1, 10), mp.mpf(1) / 10, mp.mpf(7) / 5,
+                                                ctx)),
 ]
 
 

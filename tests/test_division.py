@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from oracles import angular_arc_length, subarc_length, v_of_u
 from serretlab import curves, division, quadrature
 from serretlab.algebra import minpoly
 from serretlab.cli import main
 from serretlab.curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
-                              total_length_closed, v_of_u)
-from serretlab.division import (divide_cassini, divide_fundamental_arc, expand_by_symmetry,
-                                subarc_length)
+                              total_length_closed)
+from serretlab.division import divide_cassini, divide_fundamental_arc, expand_by_symmetry
 from serretlab.errors import ConfigurationError, DomainError
 from serretlab.numkernel import make_context
 
@@ -167,6 +167,22 @@ class TestDivideCassini:
         c = r.cos_u
         assert abs(256 * c ** 4 - 1512 * c ** 2 + 631) < mp.mpf(10) ** -44
 
+    @pytest.mark.parametrize("digits", [50, 200])
+    @pytest.mark.parametrize("a", [Fraction(1, 30), Fraction(1, 10), Fraction(1, 2),
+                                   Fraction(4, 5), Fraction(9, 10), Fraction(29, 30)])
+    def test_radial_arc_against_angular_oracle(self, a, digits):
+        # the check integrates in y = r^2; the oracle in the angle, between
+        # the same two points, and both must give l(C_a)/(4n)
+        ctx = make_context(digits)
+        curve = Regular(a, 2)
+        tol = mp.mpf(10) ** -(digits - 5)
+        length = total_length_closed(curve, ctx)
+        for n in range(1, 5):
+            r = divide_cassini(a, n, ctx)
+            angular = angular_arc_length(curve, r.u / 2, mp.pi / 2 - r.u / 2, ctx)
+            assert abs(r.arc_length - angular) <= tol, n
+            assert abs(r.arc_length - length / (4 * n)) <= tol, n
+
     def test_monotone_reduced_integral(self, ctx50):
         us = [mp.mpf(i) / 10 * mp.pi / 2 for i in range(0, 11, 2)]
         vals = [cassini_reduced_integral(self.A, v_of_u(u, self.A, ctx50), ctx50)
@@ -199,7 +215,7 @@ class TestSolverCost:
 
         for attr in ("normalized_arc_integral", "cassini_reduced_integral"):
             monkeypatch.setattr(division, attr, counted("F", getattr(division, attr)))
-        for mod in (quadrature, curves, division):
+        for mod in (quadrature, curves):
             monkeypatch.setattr(mod, "tanh_sinh", counted("tanh_sinh", mod.tanh_sinh))
         return counts
 

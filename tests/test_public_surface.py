@@ -5,10 +5,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "serretlab"
 
-# independent routes (fresh quadrature, the inverse of cos_u_of_v) that only
-# the tests call, to check the closed forms the package computes with
-TEST_ORACLES = ("subarc_length", "v_of_u")
-
 
 def _modules():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -53,8 +49,8 @@ def test_every_export_is_used_in_the_package():
     assert len(exports) > 40  # the parse found the export list
     used = set().union(*(_reads(stem, tree) for stem, tree in trees.items()))
     unused = sorted(name for name, module in exports if (module, name) not in used)
-    # an oracle that the package starts to use leaves the exception list
-    assert unused == sorted(TEST_ORACLES)
+    # independent routes that only the tests call live in tests/oracles.py
+    assert unused == []
 
 
 def _unread_imports(tree):
