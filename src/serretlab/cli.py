@@ -220,17 +220,17 @@ def _minpoly_columns(candidate, ctx):
 
 
 # Recomputable pipeline constants, as the ``refine`` callables of
-# algebra.minpoly.  They look division.<fn> up at each call, so a
-# replaced module attribute (a tracer, a test double) is what runs.
+# algebra.minpoly: one point each, no arc.  They look division.<fn> up at
+# each call, so a replaced module attribute (a tracer, a test double) runs.
 
 def _leaf_radius(curve, l: int, i: int):
     """ctx -> s_i of the l-part division of the fundamental half-leaf."""
-    return lambda c: division.divide_fundamental_arc(curve, l, c)[i].s
+    return lambda c: division.leaf_radius(curve, Fraction(i, l), c)[0]
 
 
 def _cassini_cos_u(a, n: int):
     """ctx -> cos(u) of the order-n division of the Cassini oval C_a."""
-    return lambda c: division.divide_cassini(a, n, c).cos_u
+    return lambda c: division.cassini_cos_u(a, n, c)[0]
 
 
 def _divide_leaf(ns, ctx, curve):

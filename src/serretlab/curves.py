@@ -168,13 +168,20 @@ def polar_radius(curve, theta, ctx: PrecisionContext) -> PolarPoint:
         raise DomainError("polar_radius does not accept PolyLemniscate")
 
 
-def normalized_arc_integral(exponent_2q, s_end, ctx: PrecisionContext) -> BigReal:
+def normalized_arc_total(exponent_2q, ctx: PrecisionContext) -> BigReal:
+    """F(1) = B(1/2, 1/(2q))/(2q), the normalized length of the half-leaf."""
+    with ctx.workdps():
+        a = 1 / as_real(exponent_2q, ctx)
+        return a * beta(mp.mpf(1) / 2, a, ctx)
+
+
+def normalized_arc_integral(exponent_2q, s_end, f_one, ctx: PrecisionContext) -> BigReal:
     """F(s_end) = int_0^{s_end} ds / sqrt(1 - s^(2q)); increasing in s_end.
 
     The incomplete Beta function (1/2q) B(z; 1/(2q), 1/2), z = s^(2q), w = 1 - z,
     with a 2F1 series argument never above 1/2 (DLMF 8.17.7 and 8.17.4):
     F(s) = s 2F1(1/2, 1/(2q); 1 + 1/(2q); z) for z <= 1/2, else
-    F(s) = F(1) - (2 sqrt(w)/2q) 2F1(1/2, 1 - 1/(2q); 3/2; w), F(1) = B(1/2, 1/(2q))/(2q).
+    F(s) = f_one - (2 sqrt(w)/2q) 2F1(1/2, 1 - 1/(2q); 3/2; w), f_one = F(1).
     """
     with ctx.workdps():
         twoq = as_real(exponent_2q, ctx)
@@ -192,7 +199,7 @@ def normalized_arc_integral(exponent_2q, s_end, ctx: PrecisionContext) -> BigRea
             return s_end * hyp2f1(half, a, 1 + a, z, ctx)
         # 1 - s^(2q) without cancellation as s -> 1
         w = -mp.expm1(twoq * mp.log(s_end))
-        return a * (beta(half, a, ctx) - 2 * mp.sqrt(w) * hyp2f1(half, 1 - a, 3 * half, w, ctx))
+        return f_one - 2 * a * mp.sqrt(w) * hyp2f1(half, 1 - a, 3 * half, w, ctx)
 
 
 def _closed_regular_lt1(a: Fraction, k: int, ctx: PrecisionContext) -> BigReal:
@@ -276,20 +283,20 @@ def radial_arc_integral(ak, k: int, ya, yb, ctx: PrecisionContext) -> BigReal:
 
 
 def cassini_b(a, ctx: PrecisionContext) -> BigReal:
-    """(1 - a^4)/a^4, the constant of the reduced Cassini integral."""
-    with ctx.workdps():
-        av = as_real(a, ctx)
-        return (1 - av ** 4) / av ** 4
+    """(1 - a^4)/a^4, the constant of the reduced Cassini integral, exact in a."""
+    a = _as_fraction(a)
+    return as_real((1 - a ** 4) / a ** 4, ctx)
 
 
 def _cassini_scale(a, ctx: PrecisionContext) -> tuple:
     """(v0, pref) of the reduced Cassini integral at working + 10 digits:
-    its lower limit v0 = sqrt(1 - a^4) and prefactor a^2 (4 (1 - a^4)/a^4)^(1/4)."""
+    its lower limit v0 = sqrt(c) and prefactor a^2 (4c/a^4)^(1/4), c = 1 - a^4 exact."""
+    a = _as_fraction(a)
+    if not 0 < a < 1:
+        raise DomainError(f"need 0 < a < 1, got {a}")
     with ctx.workdps(10):
         av = as_real(a, ctx)
-        if not 0 < av < 1:
-            raise DomainError(f"need 0 < a < 1, got {av}")
-        c = 1 - av ** 4
+        c = as_real(1 - a ** 4, ctx)
         return mp.sqrt(c), av ** 2 * mp.power(4 * c / av ** 4, mp.mpf(1) / 4)
 
 

@@ -1,4 +1,5 @@
-"""Equal-arc-length division points of leaf curves and Cassini ovals.
+"""Equal-arc-length division points of leaf curves and Cassini ovals,
+each point computed alone by one solve.
 
 For Erdos lemniscates and sinusoidal spirals the cumulative length of
 the fundamental half-leaf, in the normalized radius s = r 2^(-1/q), is
@@ -6,17 +7,16 @@ the fundamental half-leaf, in the normalized radius s = r 2^(-1/q), is
     F(s) = int_0^s dt / sqrt(1 - t^(2q)),
 
 an incomplete Beta function in closed form, strictly increasing with
-known derivative, so each division radius s_i with F(s_i) = (i/l) F(1)
-is found by Newton's method from s = i/l in a few F evaluations (the
-derivative blows up like an inverse square root at s = 1, so steps
-falling outside the bracket of residual signs are replaced by bisection).
-
-Cassini division solves, in the reduced variable v, the condition that
-the cumulative reduced integral (one Carlson R_F) reaches (n-1)/n of
-its total; the two resulting points at angles u/2 and pi/2 - u/2 bound
-the shortest arc of length l(C_a)/(4n).  That arc is checked by
-quadrature in y = r^2 between the points (``radial_arc_integral``),
-which shares nothing with the R_F solve or with the closed-form length.
+known derivative, so ``leaf_radius`` finds s_i with F(s_i) = (i/l) F(1)
+by Newton's method from s = i/l in a few F evaluations (steps leaving
+the bracket of residual signs, as near s = 1 where F' blows up, are
+replaced by bisection).  ``cassini_cos_u`` solves, in the reduced
+variable v, the condition that the cumulative reduced integral (one
+Carlson R_F) reaches (n-1)/n of its total.  The two points at angles
+u/2 and pi/2 - u/2 bound the shortest arc of length l(C_a)/(4n), which
+``divide_cassini`` checks by quadrature in y = r^2 between the points
+(``radial_arc_integral``), independent of the R_F solve and of the
+closed-form length.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .curves import (Regular, Sinusoidal, _cassini_scale, cassini_reduced_integral, cos_u_of_v,
-                     exponent_2q, normalized_arc_integral, polar_radius, radial_arc_integral,
-                     total_length_closed)
+                     exponent_2q, normalized_arc_integral, normalized_arc_total, polar_radius,
+                     radial_arc_integral, total_length_closed)
 from .errors import ConfigurationError, ConvergenceError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
 
@@ -88,35 +88,40 @@ def _solve_monotone(F, step, frac: Fraction, lower, total: BigReal,
             best=x, state={"bracket": (lo, hi), "residual": resid})
 
 
-def divide_fundamental_arc(curve, l: int, ctx: PrecisionContext) -> tuple:
-    """Division points s_0 = 0, ..., s_l = 1 of the fundamental half-leaf.
+def leaf_radius(curve, frac, ctx: PrecisionContext) -> tuple:
+    """(s, |F(s) - frac F(1)|) with F(s) = frac F(1) on the fundamental
+    half-leaf: one solve, which computes F(1) once; frac = 0 and 1 need none."""
+    twoq = exponent_2q(curve)
+    frac = Fraction(frac)
+    if not 0 <= frac <= 1:
+        raise ConfigurationError(f"need 0 <= frac <= 1, got {frac}")
+    if frac in (0, 1):
+        return mp.mpf(int(frac)), mp.mpf(0)
+    with ctx.workdps(10):
+        twoq_f = as_real(twoq, ctx)
+        f_one = normalized_arc_total(twoq, ctx)
+        return _solve_monotone(
+            lambda x: normalized_arc_integral(twoq, x, f_one, ctx),
+            lambda x, diff: diff * mp.sqrt(1 - mp.power(x, twoq_f)),
+            frac, mp.mpf(0), f_one, ctx)
 
-    F(s_i) = (i/l) F(1); angles follow from the polar equation:
-    r = 2^(1/q) s lies on r^q = 2 cos(q theta) iff cos(q theta) = s^q,
-    so theta = arccos(s^q)/q, running from the leaf edge pi/(2q) at the
-    origin down to 0 at the tip.
+
+def divide_fundamental_arc(curve, l: int, ctx: PrecisionContext) -> tuple:
+    """Division points s_0 = 0, ..., s_l = 1 of the fundamental half-leaf,
+    s_i from ``leaf_radius(curve, i/l)``.
+
+    r = 2^(1/q) s lies on r^q = 2 cos(q theta) iff cos(q theta) = s^q, so
+    theta = arccos(s^q)/q runs from the leaf edge pi/(2q) at the origin
+    down to 0 at the tip.
     """
-    if not isinstance(curve, Sinusoidal):
-        raise DomainError("divide_fundamental_arc needs an Erdos or Sinusoidal curve")
     if not isinstance(l, int) or l < 1:
         raise ConfigurationError(f"need integer l >= 1, got {l!r}")
-    twoq = exponent_2q(curve)
     with ctx.workdps(10):
+        radii = [leaf_radius(curve, Fraction(i, l), ctx) for i in range(l + 1)]
         q = as_real(curve.q, ctx)
-        twoq_f = as_real(twoq, ctx)
-        total = normalized_arc_integral(twoq, 1, ctx)
         scale = mp.power(2, 1 / q)
         out = []
-        for i in range(l + 1):
-            if i == 0:
-                s, resid = mp.mpf(0), mp.mpf(0)
-            elif i == l:
-                s, resid = mp.mpf(1), mp.mpf(0)
-            else:
-                s, resid = _solve_monotone(
-                    lambda x: normalized_arc_integral(twoq, x, ctx),
-                    lambda x, diff: diff * mp.sqrt(1 - mp.power(x, twoq_f)),
-                    Fraction(i, l), mp.mpf(0), total, ctx)
+        for i, (s, resid) in enumerate(radii):
             theta = mp.acos(mp.power(s, q)) / q if s > 0 else mp.pi / (2 * q)
             r = scale * s
             out.append(DivisionPoint(
@@ -159,22 +164,11 @@ def expand_by_symmetry(curve, points: list, ctx: PrecisionContext) -> list:
         return tuple(out)
 
 
-def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
-    """Two algebraic points on C_a whose shortest arc is l(C_a)/(4n).
-
-    Solves I(u) = ((n-1)/n) I(pi/2) through the reduced v-integral
-    (Newton with the closed-form derivative of the v-integral), then
-    places the points at angles u/2 and pi/2 - u/2.  As an independent
-    check the arc between them is integrated in y = r^2, which is
-    monotone in the angle on [0, pi/2]: the points sit at
-    y = +/- a^2 cos(u) + sqrt(1 - a^4 sin(u)^2).
-    """
+def cassini_cos_u(a, n: int, ctx: PrecisionContext) -> tuple:
+    """(cos_u, v_u, |I(u) - ((n-1)/n) I(pi/2)|) of the order-n division of
+    C_a, 0 < a < 1, from Newton on the reduced v-integral; no arc."""
     if not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"need integer n >= 1, got {n!r}")
-    a = Fraction(str(a)) if isinstance(a, float) else Fraction(a)
-    if not 0 < a < 1:
-        raise DomainError(f"need 0 < a < 1, got {a}")
-    curve = Regular(a, 2)
     vlo, pref = _cassini_scale(a, ctx)
     with ctx.workdps(10):
         total = cassini_reduced_integral(a, 1, ctx)
@@ -183,9 +177,21 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
             lambda x: cassini_reduced_integral(a, x, ctx),
             lambda x, diff: diff / (pref / mp.sqrt(x * (1 - x) * (x - vlo) * (x + vlo))),
             Fraction(n - 1, n), vlo, total, ctx)
-
         cos_u = cos_u_of_v(v, a, ctx) if v > vlo else mp.mpf(1)
-        cos_u = min(cos_u, mp.mpf(1))
+        return min(cos_u, mp.mpf(1)), v, resid
+
+
+def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
+    """Two algebraic points on C_a, at angles u/2 and pi/2 - u/2 with cos(u)
+    from ``cassini_cos_u``, whose shortest arc is l(C_a)/(4n).
+
+    As an independent check the arc between them is integrated in y = r^2,
+    which is monotone in the angle on [0, pi/2]: the points sit at
+    y = +/- a^2 cos(u) + sqrt(1 - a^4 sin(u)^2).
+    """
+    cos_u, v, resid = cassini_cos_u(a, n, ctx)
+    curve = Regular(a, 2)
+    with ctx.workdps(10):
         u = mp.acos(cos_u)
         p1 = polar_radius(curve, u / 2, ctx)
         p2 = polar_radius(curve, mp.pi / 2 - u / 2, ctx)
@@ -193,7 +199,7 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
         # are exactly its endpoints 1 - a^2 and 1 + a^2; for k = 2 the arc
         # is the integral itself
         with ctx.workdps():
-            a2 = as_real(a, ctx) ** 2
+            a2 = as_real(curve.a, ctx) ** 2
             c = a2 * cos_u
             root = mp.sqrt(1 - a2 * a2 * mp.sin(u) ** 2)
             arc = radial_arc_integral(a2, 2, root - c, root + c, ctx)

@@ -116,3 +116,19 @@ def v_of_u(u, a, ctx):
             raise DomainError(f"need 0 <= u <= pi/2, got {uv}")
         b = cassini_b(a, ctx)
         return mp.power(mp.cos(uv) ** 2 / b + 1, mp.mpf(-1) / 2)
+
+
+def cassini_inversion(a, n, ctx):
+    """(v_u, cos_u) of the order-n Cassini division with no Newton solve:
+    the reduced integral inverted by Byrd and Friedman 256.00,
+    v = v0 / (1 - (1 - v0) sn^2(((n-1)/n) K(m) | m)), v0 = sqrt(1 - a^4),
+    m = (1 - v0)/2, through mpmath's ellipfun and ellipk, with 1 - a^4 exact."""
+    a = Fraction(a)
+    c = 1 - a ** 4
+    with ctx.workdps(20):
+        v0 = mp.sqrt(mp.mpf(c.numerator) / c.denominator)
+        m = (1 - v0) / 2
+        sn = mp.ellipfun("sn", mp.mpf(n - 1) / n * mp.ellipk(m), m=m)
+        v = v0 / (1 - (1 - v0) * sn ** 2)
+        b = c / a ** 4
+        return v, mp.sqrt(mp.mpf(b.numerator) / b.denominator) * mp.sqrt(1 / (v * v) - 1)

@@ -149,8 +149,9 @@ class TestErrorDocument:
         assert code == 3 and doc["exit_code"] == 3
         assert doc["error"] == {"kind": "DomainError", "message": "need 0 < a < 1, got 1"}
         # a solver that cannot converge: F never reaches the target
+        monkeypatch.setattr("serretlab.division.normalized_arc_total", lambda twoq, ctx: mp.mpf(1))
         monkeypatch.setattr("serretlab.division.normalized_arc_integral",
-                            lambda twoq, s, ctx: mp.mpf(0) if s < 1 else mp.mpf(1))
+                            lambda twoq, s, f_one, ctx: mp.mpf(0) if s < 1 else f_one)
         code, out, _ = run(capsys, "divide", "--erdos", "2", "--parts", "2", "--digits", "20")
         assert code == 3
         error = json.loads(out)["error"]

@@ -7,8 +7,8 @@ from mpmath import mp
 from oracles import angular_arc_length, angular_total_length, subarc_length, v_of_u
 from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
                               cassini_reduced_integral, cos_u_of_v, exponent_2q,
-                              normalized_arc_integral, polar_radius, radial_arc_integral,
-                              total_length_closed, total_length_quadrature)
+                              normalized_arc_integral, normalized_arc_total, polar_radius,
+                              radial_arc_integral, total_length_closed, total_length_quadrature)
 from serretlab.division import divide_fundamental_arc
 from serretlab.errors import ConfigurationError, DomainError
 from serretlab.numkernel import as_real, make_context
@@ -52,8 +52,8 @@ class TestCurveSpecs:
         # spellings give the same bits (mpf equality is exact)
         erdos, spiral = Erdos(n), Sinusoidal(n, 1)
         assert total_length_closed(erdos, ctx50) == total_length_closed(spiral, ctx50)
-        assert (normalized_arc_integral(exponent_2q(erdos), 1, ctx50)
-                == normalized_arc_integral(exponent_2q(spiral), 1, ctx50))
+        assert (normalized_arc_total(exponent_2q(erdos), ctx50)
+                == normalized_arc_total(exponent_2q(spiral), ctx50))
         for p, r in zip(divide_fundamental_arc(erdos, 3, ctx50),
                         divide_fundamental_arc(spiral, 3, ctx50)):
             assert (p.s, p.radius, p.theta, p.x, p.y, p.residual) == \
@@ -98,19 +98,22 @@ class TestPolarRadius:
 
 class TestNormalizedArcIntegral:
     def test_arcsine(self, ctx50):
-        assert abs(normalized_arc_integral(2, 1, ctx50) - mp.pi / 2) < mp.mpf(10) ** -49
+        f_one = normalized_arc_total(2, ctx50)
+        assert abs(f_one - mp.pi / 2) < mp.mpf(10) ** -49
+        assert normalized_arc_integral(2, 1, f_one, ctx50) == f_one
 
     def test_quarter_beta(self, ctx50):
-        got = normalized_arc_integral(4, 1, ctx50)
+        got = normalized_arc_total(4, ctx50)
         want = beta(mp.mpf(1) / 2, mp.mpf(1) / 4, ctx50) / 4
         assert abs(got - want) < mp.mpf(10) ** -48
 
     def test_empty(self, ctx50):
-        assert normalized_arc_integral(6, 0, ctx50) == 0
+        assert normalized_arc_integral(6, 0, normalized_arc_total(6, ctx50), ctx50) == 0
 
     def test_strictly_increasing(self, ctx50):
         grid = [mp.mpf(x) / 10 for x in range(0, 11)]
-        vals = [normalized_arc_integral(Fraction(1, 2), s, ctx50) for s in grid]
+        f_one = normalized_arc_total(Fraction(1, 2), ctx50)
+        vals = [normalized_arc_integral(Fraction(1, 2), s, f_one, ctx50) for s in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     # 2q = 2/3, 1, 2, 4, 6, 11, 32/3
@@ -125,9 +128,10 @@ class TestNormalizedArcIntegral:
         twoq = exponent_2q(curve)
         inv = mp.mpf(twoq.denominator) / twoq.numerator
         scale = mp.power(2, -2 * inv)  # 2^(-1/q)
+        f_one = normalized_arc_total(twoq, ctx)
         for s in (mp.power(mp.mpf(1) / 4, inv), mp.power(mp.mpf(3) / 4, inv),
                   1 - mp.mpf(10) ** -8, mp.mpf(1)):
-            got = normalized_arc_integral(twoq, s, ctx)
+            got = normalized_arc_integral(twoq, s, f_one, ctx)
             want = subarc_length(curve, 0, s, ctx) * scale
             assert abs(got - want) <= mp.mpf(10) ** -digits * max(1, want)
 

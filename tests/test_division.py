@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from oracles import angular_arc_length, subarc_length, v_of_u
+from oracles import angular_arc_length, cassini_inversion, subarc_length, v_of_u
 from serretlab import curves, division, quadrature
 from serretlab.algebra import minpoly
 from serretlab.cli import main
 from serretlab.curves import (Erdos, Regular, Sinusoidal, cassini_reduced_integral,
                               total_length_closed)
-from serretlab.division import divide_cassini, divide_fundamental_arc, expand_by_symmetry
+from serretlab.division import (cassini_cos_u, divide_cassini, divide_fundamental_arc,
+                                expand_by_symmetry, leaf_radius)
 from serretlab.errors import ConfigurationError, DomainError
 from serretlab.numkernel import make_context
 
@@ -183,6 +184,18 @@ class TestDivideCassini:
             assert abs(r.arc_length - angular) <= tol, n
             assert abs(r.arc_length - length / (4 * n)) <= tol, n
 
+    @pytest.mark.parametrize("a", [Fraction(1, 10), Fraction(4, 5), Fraction(29, 30),
+                                   1 - Fraction(1, 10 ** 20), 1 - Fraction(1, 10 ** 40)])
+    def test_against_elliptic_inversion(self, a):
+        # the R_F solve against sn; as a -> 1 this needs c = 1 - a^4 exact,
+        # which a rounded a loses to cancellation
+        ctx = make_context(50)
+        tol = mp.mpf(10) ** -50
+        for n in range(2, 5):
+            r = divide_cassini(a, n, ctx)
+            v_u, cos_u = cassini_inversion(a, n, ctx)
+            assert abs(r.v_u - v_u) <= tol and abs(r.cos_u - cos_u) <= tol, n
+
     def test_monotone_reduced_integral(self, ctx50):
         us = [mp.mpf(i) / 10 * mp.pi / 2 for i in range(0, 11, 2)]
         vals = [cassini_reduced_integral(self.A, v_of_u(u, self.A, ctx50), ctx50)
@@ -240,36 +253,74 @@ class TestSolverCost:
                 assert counts["F"] - 1 <= 10, (a, n, counts["F"])
 
 
+class TestOnePoint:
+    """A point computed alone is, bit for bit, that point of the whole division."""
+
+    def test_leaf_radius(self, ctx50):
+        for curve in TestSolverCost.LEAVES:
+            for l in (2, 3):
+                for i, p in enumerate(divide_fundamental_arc(curve, l, ctx50)):
+                    assert leaf_radius(curve, Fraction(i, l), ctx50) == (p.s, p.residual)
+
+    def test_cassini_cos_u(self, ctx50):
+        for a in TestSolverCost.CASSINI:
+            for n in (2, 3, 4):
+                r = divide_cassini(a, n, ctx50)
+                assert cassini_cos_u(a, n, ctx50) == (r.cos_u, r.v_u, r.residual)
+
+    def test_leaf_validation(self, ctx50):
+        with pytest.raises(ConfigurationError):
+            leaf_radius(Erdos(2), Fraction(3, 2), ctx50)
+        with pytest.raises(DomainError):
+            leaf_radius(Regular(Fraction(1, 2), 2), Fraction(1, 2), ctx50)
+
+
 class TestMinpolyDivisionCost:
-    """`divide --minpoly` divides once at the requested digits; only the
-    +40-digit re-verification of each found relation divides again."""
+    """`divide --minpoly` and `minpoly --from` solve each point once at the
+    requested digits, and once more at +40 to re-verify a found relation;
+    only `divide --cassini` integrates an arc, once."""
 
     @staticmethod
-    def divisions_by_digits(monkeypatch, capsys, name, argv):
-        digits = []
-        solver = getattr(division, name)
+    def calls(monkeypatch, capsys, argv, *names):
+        """{name: argument tuples of each division.<name> call made by argv}."""
+        calls = {}
+        for name in names:
+            def counted(*args, fn=getattr(division, name), seen=calls.setdefault(name, [])):
+                seen.append(args)
+                return fn(*args)
 
-        def counted(*args):
-            digits.append(args[-1].digits)
-            return solver(*args)
-
-        monkeypatch.setattr(division, name, counted)
+            monkeypatch.setattr(division, name, counted)
         assert main(argv) == 0
         capsys.readouterr()
-        return Counter(digits)
+        return calls
+
+    @staticmethod
+    def digits(calls):
+        return Counter(args[-1].digits for args in calls)
 
     def test_leaf(self, monkeypatch, capsys):
-        # four interior radii, each verified at 100 digits
-        calls = self.divisions_by_digits(
-            monkeypatch, capsys, "divide_fundamental_arc",
-            ["divide", "--erdos", "1", "--parts", "5", "--minpoly", "--digits", "60"])
-        assert calls == {60: 1, 100: 4}
+        # six radii at 60 digits, of which the endpoints 0 and 1 solve
+        # nothing; the four interior ones are solved again at 100
+        calls = self.calls(monkeypatch, capsys,
+                           ["divide", "--erdos", "1", "--parts", "5", "--minpoly", "--digits", "60"],
+                           "leaf_radius")["leaf_radius"]
+        assert self.digits(calls) == {60: 6, 100: 4}
+        assert self.digits(c for c in calls if 0 < c[1] < 1) == {60: 4, 100: 4}
 
     def test_cassini(self, monkeypatch, capsys):
-        calls = self.divisions_by_digits(
-            monkeypatch, capsys, "divide_cassini",
-            ["divide", "--cassini", "a=4/5", "--n", "2", "--minpoly", "--digits", "100"])
-        assert calls == {100: 1, 140: 1}
+        calls = self.calls(monkeypatch, capsys,
+                           ["divide", "--cassini", "a=4/5", "--n", "2", "--minpoly", "--digits", "100"],
+                           "cassini_cos_u", "radial_arc_integral")
+        assert self.digits(calls["cassini_cos_u"]) == {100: 1, 140: 1}
+        assert self.digits(calls["radial_arc_integral"]) == {100: 1}
+
+    def test_cassini_pipeline(self, monkeypatch, capsys):
+        calls = self.calls(monkeypatch, capsys,
+                           ["minpoly", "--from", "cassini:a=4/5:n=2", "--digits", "100",
+                            "--max-height", "1000000"],
+                           "cassini_cos_u", "radial_arc_integral", "total_length_closed")
+        assert self.digits(calls["cassini_cos_u"]) == {100: 1, 140: 1}
+        assert calls["radial_arc_integral"] == calls["total_length_closed"] == []
 
 
 class TestCassiniCertificate:
@@ -283,6 +334,13 @@ class TestCassiniCertificate:
         with mp.workdps(400):
             resid = mp.fsum(c * cos_u ** (2 * i) for i, c in enumerate(self.Y_COEFFS))
         assert abs(resid) < mp.mpf(10) ** -250
+
+    def test_vanishes_at_700_digits(self):
+        # the README's re-verification, of cos(u) alone with no arc check
+        cos_u = cassini_cos_u(Fraction(4, 5), 3, make_context(700))[0]
+        with mp.workdps(800):
+            resid = mp.fsum(c * cos_u ** (2 * i) for i, c in enumerate(self.Y_COEFFS))
+        assert abs(resid) < mp.mpf(10) ** -690
 
     def test_minpoly_of_cos_u_squared(self):
         def y(ctx):
