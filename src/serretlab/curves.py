@@ -1,4 +1,4 @@
-"""Curve catalog: polar equations, arc-length integrands, total lengths.
+"""Curve catalog: arc-length integrands, total lengths.
 
 Families
 --------
@@ -18,9 +18,9 @@ Two independent total-length routes are provided: closed forms (Beta /
 
 for Regular curves, taken in y = r^k by ``radial_arc_integral``, which
 also gives the arc between two radii that the Cassini division checks.
-The angular forms of the same lengths are test oracles only.
-``cassini_b`` is (1-a^4)/a^4, the constant of the reduced Cassini
-integral.
+The angular forms of the same lengths are test oracles only; no polar
+equation is solved here.  ``cassini_b`` is (1-a^4)/a^4, the constant of
+the reduced Cassini integral, which checks the Cassini division.
 """
 
 from __future__ import annotations
@@ -116,56 +116,11 @@ class PolyLemniscate:
 Curve = Union[Sinusoidal, Regular, PolyLemniscate]
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    r: BigReal
-    theta: BigReal
-
-
 def exponent_2q(curve) -> Fraction:
     """The 2q in the normalized arc integrand (1 - s^(2q))^(-1/2)."""
     if isinstance(curve, Sinusoidal):
         return 2 * curve.q
     raise DomainError(f"no normalized arc exponent for {type(curve).__name__}")
-
-
-def polar_radius(curve, theta, ctx: PrecisionContext) -> PolarPoint:
-    """Solve the polar equation for r >= 0 at the given angle.
-
-    Erdos/sinusoidal leaves need |q theta| <= pi/2.  For Regular curves
-    the quadratic in r^k gives r^k = a^k cos(k theta) +/- sqrt(1 -
-    a^2k sin^2(k theta)); this returns the outer (+) root, for a > 1 on
-    the angular window where the radicand is nonnegative.
-    """
-    with ctx.workdps():
-        theta = as_real(theta, ctx)
-        slack = mp.mpf(10) ** (-ctx.digits)
-        if isinstance(curve, Sinusoidal):
-            q = as_real(curve.q, ctx)
-            c = 2 * mp.cos(q * theta)
-            if c < 0:
-                if c < -slack:
-                    raise DomainError(
-                        f"theta={theta} outside the leaf |q theta| <= pi/2")
-                c = mp.mpf(0)
-            r = mp.power(c, 1 / q) if c > 0 else mp.mpf(0)
-            return PolarPoint(r, theta)
-        if isinstance(curve, Regular):
-            a = as_real(curve.a, ctx)
-            k = curve.k
-            ak = a ** k
-            s = mp.sin(k * theta)
-            radicand = 1 - ak * ak * s * s
-            if radicand < 0:
-                if radicand < -slack:
-                    raise DomainError(
-                        f"theta={theta} outside the component of C_(a={a}, k={k})")
-                radicand = mp.mpf(0)
-            rk = ak * mp.cos(k * theta) + mp.sqrt(radicand)
-            if rk <= 0:
-                raise DomainError(f"no positive radius at theta={theta}")
-            return PolarPoint(mp.power(rk, mp.mpf(1) / k), theta)
-        raise DomainError("polar_radius does not accept PolyLemniscate")
 
 
 def normalized_arc_total(exponent_2q, ctx: PrecisionContext) -> BigReal:

@@ -1,5 +1,5 @@
 """Equal-arc-length division points of leaf curves and Cassini ovals,
-each point computed alone by one solve.
+each point computed alone.
 
 For Erdos lemniscates and sinusoidal spirals the cumulative length of
 the fundamental half-leaf, in the normalized radius s = r 2^(-1/q), is
@@ -10,13 +10,13 @@ an incomplete Beta function in closed form, strictly increasing with
 known derivative, so ``leaf_radius`` finds s_i with F(s_i) = (i/l) F(1)
 by Newton's method from s = i/l in a few F evaluations (steps leaving
 the bracket of residual signs, as near s = 1 where F' blows up, are
-replaced by bisection).  ``cassini_cos_u`` solves, in the reduced
-variable v, the condition that the cumulative reduced integral (one
-Carlson R_F) reaches (n-1)/n of its total.  The two points at angles
-u/2 and pi/2 - u/2 bound the shortest arc of length l(C_a)/(4n), which
-``divide_cassini`` checks by quadrature in y = r^2 between the points
-(``radial_arc_integral``), independent of the R_F solve and of the
-closed-form length.
+replaced by bisection).  ``cassini_cos_u`` inverts the Cassini oval's
+reduced elliptic integral in v in closed form, through Jacobi sn.  The
+two points at angles u/2 and pi/2 - u/2 bound the shortest arc of
+length l(C_a)/(4n); ``divide_cassini`` checks the inversion with two
+reduced integrals (Carlson R_F), and the arc by quadrature in y = r^2
+between the points (``radial_arc_integral``), independent of both and
+of the closed-form length.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from fractions import Fraction
 from mpmath import mp
 
 from .curves import (Regular, Sinusoidal, _cassini_scale, cassini_reduced_integral, cos_u_of_v,
-                     exponent_2q, normalized_arc_integral, normalized_arc_total, polar_radius,
+                     exponent_2q, normalized_arc_integral, normalized_arc_total,
                      radial_arc_integral, total_length_closed)
 from .errors import ConfigurationError, ConvergenceError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
+from .specfun import ellip_k, ellip_sn
 
 
 @dataclass(frozen=True)
@@ -54,24 +55,23 @@ class CassiniDivision:
     P: tuple
     P_prime: tuple
     arc_length: BigReal
-    residual: BigReal       # |I(u) - (n-1)/n I(pi/2)|
+    residual: BigReal       # |I(v_u) - (n-1)/n I(1)|
     arc_residual: BigReal   # |arc_length - l(C_a)/(4n)|
 
 
-def _solve_monotone(F, step, frac: Fraction, lower, total: BigReal,
-                    ctx: PrecisionContext) -> tuple:
-    """Solve F(x) = frac * total for x in (lower, 1); returns (x, residual).
+def _solve_monotone(F, step, frac: Fraction, total: BigReal, ctx: PrecisionContext) -> tuple:
+    """Solve F(x) = frac * total for x in (0, 1); returns (x, residual).
 
     F is the increasing cumulative integral, and step(x, diff) the
-    Newton step diff / F'(x).  Newton starts from lower + frac (1 - lower)
-    and narrows the bracket [lower, 1] by the sign of each residual; a
-    step leaving the bracket is replaced by bisection.
+    Newton step diff / F'(x).  Newton starts from frac and narrows the
+    bracket [0, 1] by the sign of each residual; a step leaving the
+    bracket is replaced by bisection.
     """
     with ctx.workdps(10):
         target = as_real(frac, ctx) * total
         tol = mp.mpf(10) ** (-(ctx.digits + 3)) * max(mp.mpf(1), total)
-        lo, hi = lower, mp.mpf(1)
-        x = lo + as_real(frac, ctx) * (hi - lo)
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        x = as_real(frac, ctx)
         for _ in range(80):
             diff = F(x) - target
             resid = abs(diff)
@@ -103,7 +103,7 @@ def leaf_radius(curve, frac, ctx: PrecisionContext) -> tuple:
         return _solve_monotone(
             lambda x: normalized_arc_integral(twoq, x, f_one, ctx),
             lambda x, diff: diff * mp.sqrt(1 - mp.power(x, twoq_f)),
-            frac, mp.mpf(0), f_one, ctx)
+            frac, f_one, ctx)
 
 
 def divide_fundamental_arc(curve, l: int, ctx: PrecisionContext) -> tuple:
@@ -165,36 +165,35 @@ def expand_by_symmetry(curve, points: list, ctx: PrecisionContext) -> list:
 
 
 def cassini_cos_u(a, n: int, ctx: PrecisionContext) -> tuple:
-    """(cos_u, v_u, |I(u) - ((n-1)/n) I(pi/2)|) of the order-n division of
-    C_a, 0 < a < 1, from Newton on the reduced v-integral; no arc."""
+    """(cos_u, v_u) of the order-n division of C_a, 0 < a < 1: the reduced integral
+    from v0 = sqrt(1 - a^4) to v_u is (n-1)/n of its total, and by Byrd and Friedman
+    256.00 v_u = v0 / (1 - (1 - v0) sn^2(((n-1)/n) K(m) | m)), m = (1 - v0)/2."""
     if not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"need integer n >= 1, got {n!r}")
-    vlo, pref = _cassini_scale(a, ctx)
+    v0 = _cassini_scale(a, ctx)[0]
     with ctx.workdps(10):
-        total = cassini_reduced_integral(a, 1, ctx)
-        # n = 1 starts on the root v = vlo, where F = 0 = target
-        v, resid = _solve_monotone(
-            lambda x: cassini_reduced_integral(a, x, ctx),
-            lambda x, diff: diff / (pref / mp.sqrt(x * (1 - x) * (x - vlo) * (x + vlo))),
-            Fraction(n - 1, n), vlo, total, ctx)
-        cos_u = cos_u_of_v(v, a, ctx) if v > vlo else mp.mpf(1)
-        return min(cos_u, mp.mpf(1)), v, resid
+        m = (1 - v0) / 2
+        sn = ellip_sn(mp.mpf(n - 1) / n * ellip_k(m, ctx), m, ctx)
+        v = v0 / (1 - (1 - v0) * sn * sn)
+        cos_u = cos_u_of_v(v, a, ctx) if v > v0 else mp.mpf(1)
+        return min(cos_u, mp.mpf(1)), v
 
 
 def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
     """Two algebraic points on C_a, at angles u/2 and pi/2 - u/2 with cos(u)
     from ``cassini_cos_u``, whose shortest arc is l(C_a)/(4n).
 
-    As an independent check the arc between them is integrated in y = r^2,
-    which is monotone in the angle on [0, pi/2]: the points sit at
-    y = +/- a^2 cos(u) + sqrt(1 - a^4 sin(u)^2).
+    Two checks independent of the inversion: ``residual`` |I(v_u) - ((n-1)/n) I(1)|
+    from two reduced integrals, and the arc between the points integrated in
+    y = r^2, monotone in the angle on [0, pi/2], from y = root - c to root + c,
+    c = a^2 cos(u) and root = sqrt(1 - a^4 sin(u)^2).
     """
-    cos_u, v, resid = cassini_cos_u(a, n, ctx)
+    cos_u, v = cassini_cos_u(a, n, ctx)
     curve = Regular(a, 2)
     with ctx.workdps(10):
         u = mp.acos(cos_u)
-        p1 = polar_radius(curve, u / 2, ctx)
-        p2 = polar_radius(curve, mp.pi / 2 - u / 2, ctx)
+        total = cassini_reduced_integral(a, 1, ctx)
+        resid = abs(cassini_reduced_integral(a, v, ctx) - mp.mpf(n - 1) / n * total)
         # the limits at the integral's own precision, so that at n = 1 they
         # are exactly its endpoints 1 - a^2 and 1 + a^2; for k = 2 the arc
         # is the integral itself
@@ -203,14 +202,14 @@ def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
             c = a2 * cos_u
             root = mp.sqrt(1 - a2 * a2 * mp.sin(u) ** 2)
             arc = radial_arc_integral(a2, 2, root - c, root + c, ctx)
-        expected = total_length_closed(curve, ctx) / (4 * n)
-        arc_resid = abs(arc - expected)
+        arc_resid = abs(arc - total_length_closed(curve, ctx) / (4 * n))
         bound = mp.mpf(10) ** (-ctx.digits + 5)
         if resid > bound or arc_resid > bound:
             raise InternalConsistencyError(
                 f"Cassini division residuals exceed tolerance: {resid}, {arc_resid}")
+        r1, r2 = mp.sqrt(root + c), mp.sqrt(root - c)
         return CassiniDivision(
             n=n, u=u, v_u=v, cos_u=cos_u,
-            P=(p1.r * mp.cos(p1.theta), p1.r * mp.sin(p1.theta)),
-            P_prime=(p2.r * mp.cos(p2.theta), p2.r * mp.sin(p2.theta)),
+            P=(r1 * mp.cos(u / 2), r1 * mp.sin(u / 2)),
+            P_prime=(r2 * mp.sin(u / 2), r2 * mp.cos(u / 2)),
             arc_length=arc, residual=resid, arc_residual=arc_resid)

@@ -127,11 +127,10 @@ def check_period_ratio_genus2(ctx: PrecisionContext) -> IdentityReport:
         with ctx.workdps():
             av = as_real(a, ctx)
             b = 4 * av ** 2 / (1 + av ** 2) ** 2
-            quarter = mp.mpf(1) / 4
 
             def f(node):
                 t, da, db = node
-                return 1 / ((1 - b * t) ** quarter * mp.sqrt(da * db))
+                return 1 / (mp.root(1 - b * t, 4) * mp.sqrt(da * db))
 
             lhs = tanh_sinh(f, 0, 1, ctx).value
             rhs = 2 * mp.sqrt(1 + av ** 2) * ellip_k((1 - mp.sqrt(1 - av ** 4)) / 2, ctx)

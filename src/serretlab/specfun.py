@@ -1,4 +1,5 @@
-"""Special functions: Gamma, Beta, complete elliptic integral, Gauss 2F1.
+"""Special functions: Gamma, Beta, complete elliptic integral, Jacobi sn,
+Carlson R_F, Gauss 2F1.
 
 Conventions
 -----------
@@ -9,6 +10,7 @@ The complete elliptic integral used throughout this package is
 i.e. the *parameter* m multiplies t^2 directly (no squared modulus).
 This differs from scipy's ``ellipk`` argument convention in general
 texts; negative m is allowed and used by the transformation checks.
+Jacobi's sn(u | m) takes the same parameter m, with 0 <= m < 1.
 """
 
 from __future__ import annotations
@@ -83,17 +85,42 @@ def beta(a, b, ctx: PrecisionContext) -> BigReal:
         return gamma(a, ctx) * gamma(b, ctx) / gamma(a + b, ctx)
 
 
+def _agm(m, ctx: PrecisionContext) -> tuple:
+    """(a_N, [(a_1, c_1), ..., (a_N, c_N)]) of the AGM ladder from a_0 = 1, b_0 = sqrt(1 - m):
+    a_j, b_j, c_j are (a + b)/2, sqrt(a b), (a - b)/2 of step j - 1, until
+    |a_N - b_N| <= 10**-(working_digits + 5) a_N.  Call under ctx.workdps(10)."""
+    eps = mp.mpf(10) ** (-(ctx.working_digits + 5))
+    a, b = mp.mpf(1), mp.sqrt(1 - m)
+    ladder = []
+    while abs(a - b) > eps * a:
+        a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
+        ladder.append((a, c))
+    return a, ladder
+
+
 def ellip_k(m, ctx: PrecisionContext) -> BigReal:
     """K(m) = pi / (2 agm(1, sqrt(1 - m))) for m < 1."""
     with ctx.workdps(10):
         m = as_real(m, ctx)
         if m >= 1:
             raise DomainError(f"ellip_k requires m < 1, got {m}")
-        eps = mp.mpf(10) ** (-(ctx.working_digits + 5))
-        a, b = mp.mpf(1), mp.sqrt(1 - m)
-        while abs(a - b) > eps * a:
-            a, b = (a + b) / 2, mp.sqrt(a * b)
-        return mp.pi / (2 * a)
+        return mp.pi / (2 * _agm(m, ctx)[0])
+
+
+def ellip_sn(u, m, ctx: PrecisionContext) -> BigReal:
+    """Jacobi sn(u | m), real u, 0 <= m < 1, by descending Landen (DLMF 22.20(ii)) on
+    K's AGM ladder: phi_N = 2^N a_N u, phi_(j-1) = (phi_j + asin((c_j/a_j) sin phi_j))/2,
+    sn = sin phi_0; (c_N/a_N)^2 is below the working tolerance, so phi_N needs no correction."""
+    with ctx.workdps(10):
+        u = as_real(u, ctx)
+        m = as_real(m, ctx)
+        if not 0 <= m < 1:
+            raise DomainError(f"ellip_sn requires 0 <= m < 1, got {m}")
+        a, ladder = _agm(m, ctx)
+        phi = mp.ldexp(a * u, len(ladder))
+        for aj, cj in reversed(ladder):
+            phi = (phi + mp.asin(cj / aj * mp.sin(phi))) / 2
+        return mp.sin(phi)
 
 
 def carlson_rf(x, y, z, ctx: PrecisionContext) -> BigReal:

@@ -7,7 +7,7 @@ from mpmath import mp
 from oracles import angular_arc_length, angular_total_length, subarc_length, v_of_u
 from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
                               cassini_reduced_integral, cos_u_of_v, exponent_2q,
-                              normalized_arc_integral, normalized_arc_total, polar_radius,
+                              normalized_arc_integral, normalized_arc_total,
                               radial_arc_integral, total_length_closed, total_length_quadrature)
 from serretlab.division import divide_fundamental_arc
 from serretlab.errors import ConfigurationError, DomainError
@@ -58,42 +58,6 @@ class TestCurveSpecs:
                         divide_fundamental_arc(spiral, 3, ctx50)):
             assert (p.s, p.radius, p.theta, p.x, p.y, p.residual) == \
                 (r.s, r.radius, r.theta, r.x, r.y, r.residual)
-
-
-class TestPolarRadius:
-    def test_circle_max_radius(self, ctx50):
-        assert abs(polar_radius(Erdos(1), 0, ctx50).r - 2) < mp.mpf(10) ** -49
-
-    def test_cassini_at_zero(self, ctx50):
-        a = mp.mpf(4) / 5
-        p = polar_radius(Regular(Fraction(4, 5), 2), 0, ctx50)
-        assert abs(p.r ** 2 - (a * a + 1)) < mp.mpf(10) ** -48
-
-    def test_regular_residual(self, ctx50):
-        # plug the radius back into r^2k - 2 a^k r^k cos(k theta) + a^2k - 1
-        curve = Regular(Fraction(1, 2), 3)
-        theta = mp.pi / 6
-        p = polar_radius(curve, theta, ctx50)
-        a = mp.mpf(1) / 2
-        resid = (p.r ** 6 - 2 * a ** 3 * p.r ** 3 * mp.cos(3 * theta) + a ** 6 - 1)
-        assert abs(resid) < mp.mpf(10) ** -47
-        assert abs(p.r ** 3 - mp.sqrt(1 - a ** 6)) < mp.mpf(10) ** -48
-
-    def test_leaf_symmetry_exact(self, ctx50):
-        for theta in (mp.mpf("0.2"), mp.mpf("0.11"), mp.mpf("0.3925")):
-            assert polar_radius(Erdos(2), theta, ctx50).r == \
-                polar_radius(Erdos(2), -theta, ctx50).r
-
-    def test_leaf_domain(self, ctx50):
-        with pytest.raises(DomainError):
-            polar_radius(Erdos(2), mp.pi / 2, ctx50)
-        # for a > 1 each oval has an angular window too
-        with pytest.raises(DomainError):
-            polar_radius(Regular(2, 2), mp.pi / 3, ctx50)  # outside the oval
-
-    def test_poly_rejected(self, ctx50):
-        with pytest.raises(DomainError):
-            polar_radius(PolyLemniscate((0, 1)), 0, ctx50)
 
 
 class TestNormalizedArcIntegral:
@@ -268,11 +232,13 @@ class TestCassiniPieces:
 
 def _cassini_arc(a, theta1, theta2, ctx):
     """The arc of C_a between two angles in [0, pi/2], by the package's
-    radial integral between the radii there."""
-    curve = Regular(a, 2)
+    radial integral between the radii there,
+    y = r^2 = a^2 cos(2 theta) + sqrt(1 - a^4 sin(2 theta)^2)."""
     with ctx.workdps():
-        ya, yb = sorted(polar_radius(curve, t, ctx).r ** 2 for t in (theta1, theta2))
-        return radial_arc_integral(as_real(a, ctx) ** 2, 2, ya, yb, ctx)
+        a2 = as_real(a, ctx) ** 2
+        ya, yb = sorted(a2 * mp.cos(2 * t) + mp.sqrt(1 - a2 * a2 * mp.sin(2 * t) ** 2)
+                        for t in (as_real(theta1, ctx), as_real(theta2, ctx)))
+        return radial_arc_integral(a2, 2, ya, yb, ctx)
 
 
 class TestPolarArcLength:

@@ -187,14 +187,22 @@ class TestDivideCassini:
     @pytest.mark.parametrize("a", [Fraction(1, 10), Fraction(4, 5), Fraction(29, 30),
                                    1 - Fraction(1, 10 ** 20), 1 - Fraction(1, 10 ** 40)])
     def test_against_elliptic_inversion(self, a):
-        # the R_F solve against sn; as a -> 1 this needs c = 1 - a^4 exact,
-        # which a rounded a loses to cancellation
-        ctx = make_context(50)
-        tol = mp.mpf(10) ** -50
-        for n in range(2, 5):
-            r = divide_cassini(a, n, ctx)
-            v_u, cos_u = cassini_inversion(a, n, ctx)
-            assert abs(r.v_u - v_u) <= tol and abs(r.cos_u - cos_u) <= tol, n
+        # the package's Landen sn against mpmath's; as a -> 1 this needs
+        # c = 1 - a^4 exact, which a rounded a loses to cancellation
+        cases = [(50, range(1, 5)), (200, range(1, 5))]
+        if a == self.A:
+            cases.append((1000, range(2, 5)))
+        for digits, ns in cases:
+            ctx = make_context(digits)
+            tol = mp.mpf(10) ** -(digits + 3)
+            for n in ns:
+                if digits == 50:  # the whole division, whose two checks must pass too
+                    r = divide_cassini(a, n, ctx)
+                    got = r.cos_u, r.v_u
+                else:  # the point alone, the same bits: the arc check takes seconds
+                    got = cassini_cos_u(a, n, ctx)
+                v_u, cos_u = cassini_inversion(a, n, ctx)
+                assert abs(got[0] - cos_u) <= tol and abs(got[1] - v_u) <= tol, (digits, n)
 
     def test_monotone_reduced_integral(self, ctx50):
         us = [mp.mpf(i) / 10 * mp.pi / 2 for i in range(0, 11, 2)]
@@ -245,12 +253,13 @@ class TestSolverCost:
 
     @pytest.mark.parametrize("digits", [50, 100])
     def test_cassini_division(self, counts, digits):
+        # no solve: the two reduced integrals are the residual, I(v_u) and I(1)
         ctx = make_context(digits)
         for a in self.CASSINI:
             for n in (2, 3, 4):
                 counts["F"] = 0
                 divide_cassini(a, n, ctx)
-                assert counts["F"] - 1 <= 10, (a, n, counts["F"])
+                assert counts["F"] == 2, (a, n, counts["F"])
 
 
 class TestOnePoint:
@@ -266,7 +275,7 @@ class TestOnePoint:
         for a in TestSolverCost.CASSINI:
             for n in (2, 3, 4):
                 r = divide_cassini(a, n, ctx50)
-                assert cassini_cos_u(a, n, ctx50) == (r.cos_u, r.v_u, r.residual)
+                assert cassini_cos_u(a, n, ctx50) == (r.cos_u, r.v_u)
 
     def test_leaf_validation(self, ctx50):
         with pytest.raises(ConfigurationError):
@@ -276,9 +285,10 @@ class TestOnePoint:
 
 
 class TestMinpolyDivisionCost:
-    """`divide --minpoly` and `minpoly --from` solve each point once at the
+    """`divide --minpoly` and `minpoly --from` compute each point once at the
     requested digits, and once more at +40 to re-verify a found relation;
-    only `divide --cassini` integrates an arc, once."""
+    only `divide --cassini` integrates, an arc once and its residual's two
+    reduced integrals, and the Cassini points themselves integrate nothing."""
 
     @staticmethod
     def calls(monkeypatch, capsys, argv, *names):
@@ -310,17 +320,20 @@ class TestMinpolyDivisionCost:
     def test_cassini(self, monkeypatch, capsys):
         calls = self.calls(monkeypatch, capsys,
                            ["divide", "--cassini", "a=4/5", "--n", "2", "--minpoly", "--digits", "100"],
-                           "cassini_cos_u", "radial_arc_integral")
+                           "cassini_cos_u", "radial_arc_integral", "cassini_reduced_integral")
         assert self.digits(calls["cassini_cos_u"]) == {100: 1, 140: 1}
         assert self.digits(calls["radial_arc_integral"]) == {100: 1}
+        assert self.digits(calls["cassini_reduced_integral"]) == {100: 2}
 
     def test_cassini_pipeline(self, monkeypatch, capsys):
         calls = self.calls(monkeypatch, capsys,
                            ["minpoly", "--from", "cassini:a=4/5:n=2", "--digits", "100",
                             "--max-height", "1000000"],
-                           "cassini_cos_u", "radial_arc_integral", "total_length_closed")
+                           "cassini_cos_u", "radial_arc_integral", "total_length_closed",
+                           "cassini_reduced_integral")
         assert self.digits(calls["cassini_cos_u"]) == {100: 1, 140: 1}
         assert calls["radial_arc_integral"] == calls["total_length_closed"] == []
+        assert calls["cassini_reduced_integral"] == []
 
 
 class TestCassiniCertificate:

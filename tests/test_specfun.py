@@ -10,7 +10,7 @@ from serretlab.curves import Regular, total_length_closed, total_length_quadratu
 from serretlab.errors import ConvergenceError, DomainError
 from serretlab.numkernel import make_context, to_decimal
 from serretlab.quadrature import tanh_sinh
-from serretlab.specfun import beta, carlson_rf, ellip_k, gamma, hyp2f1
+from serretlab.specfun import beta, carlson_rf, ellip_k, ellip_sn, gamma, hyp2f1
 
 GAMMA_QUARTER_50 = "3.6256099082219083119306851558676720029951676828801"
 K_HALF_50 = "1.8540746773013719184338503471952600462175988235218"
@@ -95,6 +95,39 @@ class TestEllipK:
             ellip_k(1, ctx50)
         with pytest.raises(DomainError):
             ellip_k(2, ctx50)
+
+
+class TestEllipSn:
+    """Jacobi sn by descending Landen against mpmath's ``ellipfun``."""
+
+    # the last is the parameter of the a = 4/5 Cassini division,
+    # m = (1 - sqrt(1 - a^4))/2 with 1 - a^4 = 369/625
+    PARAMS = {"0": lambda: mp.mpf(0), "1/10": lambda: mp.mpf(1) / 10,
+              "3/10": lambda: mp.mpf(3) / 10, "0.49": lambda: mp.mpf(49) / 100,
+              "0.9": lambda: mp.mpf(9) / 10, "cassini 4/5": lambda: (1 - mp.sqrt(369) / 25) / 2}
+
+    @staticmethod
+    def check(m, digits):
+        ctx = make_context(digits)
+        with mp.workdps(digits + 30):
+            mv = TestEllipSn.PARAMS[m]()
+            k = mp.ellipk(mv)
+            for u in (0, k / 3, -k / 3, k, 5 * k / 2, 4 * k + mp.mpf(1) / 10):
+                err = abs(ellip_sn(u, mv, ctx) - mp.ellipfun("sn", u, m=mv))
+                assert err <= mp.mpf(10) ** -digits, (m, digits, u)
+
+    @pytest.mark.parametrize("digits", [50, 200])
+    @pytest.mark.parametrize("m", sorted(PARAMS))
+    def test_against_ellipfun(self, m, digits):
+        self.check(m, digits)
+
+    def test_against_ellipfun_1000_digits(self):
+        self.check("cassini 4/5", 1000)
+
+    def test_domain(self, ctx50):
+        for m in (mp.mpf(-1) / 10, 1, 2):
+            with pytest.raises(DomainError):
+                ellip_sn(mp.mpf(1) / 2, m, ctx50)
 
 
 class TestCarlsonRF:
