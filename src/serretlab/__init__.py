@@ -6,8 +6,7 @@ SVG renderer."""
 
 from .algebra import MinPolyCandidate, documented_degree_bound, minpoly, pslq
 from .curves import (Erdos, PolyLemniscate, Regular, Sinusoidal, cassini_reduced_integral,
-                     cos_u_of_v, normalized_arc_integral, total_length_closed,
-                     total_length_quadrature)
+                     normalized_arc_integral, total_length_closed, total_length_quadrature)
 from .division import (CassiniDivision, DivisionPoint, cassini_cos_u, divide_cassini,
                        divide_fundamental_arc, expand_by_symmetry, leaf_radius)
 from .errors import (ConfigurationError, ConvergenceError, DomainError, IntegrandError,

@@ -245,7 +245,7 @@ def _divide_leaf(ns, ctx, curve):
         if isinstance(curve, Erdos) and curve.n in (1, 2, 3):
             bound = algebra.documented_degree_bound(curve, ns.parts)
             citations.append(bound.field_statement)
-        cap = ns.max_degree or (bound.degree_cap if bound else 8)
+        cap = ns.max_degree if ns.max_degree is not None else (bound.degree_cap if bound else 8)
         for p, row in zip(points, rows):
             if p.s == 0 or p.s == 1:
                 row.update(_minpoly_columns(
@@ -281,8 +281,8 @@ def _divide_cassini(ns, ctx):
         "arc_residual": to_decimal(result.arc_residual, ctx),
     }
     if ns.minpoly:
-        cand = algebra.minpoly(result.cos_u, ns.max_degree or 8, ns.max_height, ctx,
-                               refine=_cassini_cos_u(a, ns.n))
+        cand = algebra.minpoly(result.cos_u, 8 if ns.max_degree is None else ns.max_degree,
+                               ns.max_height, ctx, refine=_cassini_cos_u(a, ns.n))
         row.update(_minpoly_columns(cand, ctx))
     if ns.svg_out:
         markers = [(float(result.P[0]), float(result.P[1]), "P"),

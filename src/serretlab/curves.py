@@ -18,9 +18,11 @@ Two independent total-length routes are provided: closed forms (Beta /
 
 for Regular curves, taken in y = r^k by ``radial_arc_integral``, which
 also gives the arc between two radii that the Cassini division checks.
-The angular forms of the same lengths are test oracles only; no polar
-equation is solved here.  ``cassini_b`` is (1-a^4)/a^4, the constant of
-the reduced Cassini integral, which checks the Cassini division.
+Both limits are passed as gaps to the singular radii, which the integral
+forms from the rational a.  The angular forms of the same lengths are
+test oracles only; no polar equation is solved here.  The constants of
+the reduced Cassini integral, which checks the Cassini division, are
+formed in ``_cassini_scale``, again from the rational a.
 """
 
 from __future__ import annotations
@@ -206,53 +208,48 @@ def total_length_quadrature(curve, ctx: PrecisionContext) -> BigReal:
                 return 1 / mp.sqrt(_one_minus_power(node[2] / top, twoq))
 
             return 2 * leaves * tanh_sinh(f, 0, top, ctx).value
-        ak = as_real(curve.a, ctx) ** curve.k
-        return 4 * radial_arc_integral(ak, curve.k, abs(1 - ak), 1 + ak, ctx)
+        return 4 * radial_arc_integral(curve.a, curve.k, 0, 0, ctx)
 
 
-def radial_arc_integral(ak, k: int, ya, yb, ctx: PrecisionContext) -> BigReal:
-    """int_ya^yb y^(1/k) dy / sqrt((y^2 - y_lo^2)(y_hi^2 - y^2)) on |z^k - a^k| = 1.
+def radial_arc_integral(a, k: int, gap_lo, gap_hi, ctx: PrecisionContext) -> BigReal:
+    """int y^(1/k) dy / sqrt((y^2 - y_lo^2)(y_hi^2 - y^2)) on |z^k - a^k| = 1,
+    from y_lo + gap_lo to y_hi - gap_hi.
 
-    y = r^k runs between y_lo = |1 - a^k| and y_hi = 1 + a^k, which are
-    exact, and 2k int 2 r^k dr / sqrt(.) = 4 int y^(1/k) dy / sqrt(.): along
-    a stretch where r is monotone the arc between y = ya and y = yb is 2/k
-    times this integral, and 4 times it from y_lo to y_hi is l(C).  The
-    singular factors y - y_lo and y_hi - y are the limit's gap to y_lo or
-    y_hi plus the node's distance from that limit.  ak, ya and yb must be
-    formed at working precision, where the gaps are, so that a limit on an
-    endpoint leaves a gap of exactly 0.
+    y = r^k runs between y_lo = |1 - a^k| and y_hi = 1 + a^k, formed from
+    the rational a, and 2k int 2 r^k dr / sqrt(.) = 4 int y^(1/k) dy / sqrt(.):
+    along a stretch where r is monotone the arc between two radii is 2/k
+    times this integral, and 4 times it with both gaps 0 is l(C).  The
+    singular factors y - y_lo and y_hi - y are a gap plus the node's
+    distance from that limit.
     """
+    ak = _as_fraction(a) ** k
     with ctx.workdps():
-        y_lo = abs(1 - ak)
-        y_hi = 1 + ak
-        gap_lo, gap_hi = ya - y_lo, y_hi - yb
-        if gap_lo < 0 or gap_hi < 0:
-            raise DomainError(f"need {y_lo} <= ya < yb <= {y_hi}, got {ya}, {yb}")
+        y_lo = as_real(abs(1 - ak), ctx)
+        y_hi = as_real(1 + ak, ctx)
+        if gap_lo < 0 or gap_hi < 0 or gap_lo + gap_hi > y_hi - y_lo:
+            raise DomainError(f"need gaps >= 0 within [{y_lo}, {y_hi}], got {gap_lo}, {gap_hi}")
 
         def f(node):
             y, da, db = node
             quart = (gap_lo + da) * (y + y_lo) * (gap_hi + db) * (y_hi + y)
             return mp.root(y, k) / mp.sqrt(quart)
 
-        return tanh_sinh(f, ya, yb, ctx).value
-
-
-def cassini_b(a, ctx: PrecisionContext) -> BigReal:
-    """(1 - a^4)/a^4, the constant of the reduced Cassini integral, exact in a."""
-    a = _as_fraction(a)
-    return as_real((1 - a ** 4) / a ** 4, ctx)
+        return tanh_sinh(f, y_lo + gap_lo, y_hi - gap_hi, ctx).value
 
 
 def _cassini_scale(a, ctx: PrecisionContext) -> tuple:
-    """(v0, pref) of the reduced Cassini integral at working + 10 digits:
-    its lower limit v0 = sqrt(c) and prefactor a^2 (4c/a^4)^(1/4), c = 1 - a^4 exact."""
+    """(v0, w, pref) of the reduced Cassini integral at working + 10 digits:
+    its lower limit v0 = sqrt(c), w = 1 - v0 = a^4/(1 + v0) and prefactor
+    a^2 (4c/a^4)^(1/4), c = 1 - a^4 exact."""
     a = _as_fraction(a)
     if not 0 < a < 1:
         raise DomainError(f"need 0 < a < 1, got {a}")
     with ctx.workdps(10):
         av = as_real(a, ctx)
         c = as_real(1 - a ** 4, ctx)
-        return mp.sqrt(c), av ** 2 * mp.power(4 * c / av ** 4, mp.mpf(1) / 4)
+        v0 = mp.sqrt(c)
+        w = as_real(a ** 4, ctx) / (1 + v0)
+        return v0, w, av ** 2 * mp.power(4 * c / av ** 4, mp.mpf(1) / 4)
 
 
 def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
@@ -264,7 +261,7 @@ def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
     U12 = Y1 Y2 X3 X4/d, U13 = X1 X3 Y2 Y4/d, U14 = Y1 Y4 X2 X3/d, with
     d = v - v0 and X_i, Y_i the roots of v + v0, v, v - v0, 1 - v at v, v0.
     """
-    vlo, pref = _cassini_scale(a, ctx)
+    vlo, _, pref = _cassini_scale(a, ctx)
     with ctx.workdps(10):
         vu = as_real(v_upper, ctx)
         slack = mp.mpf(10) ** (-ctx.digits)
@@ -281,15 +278,3 @@ def cassini_reduced_integral(a, v_upper, ctx: PrecisionContext) -> BigReal:
         # the squares, with X3^2 = d cancelled once
         return 2 * pref * carlson_rf(2 * vlo * vlo * (1 - vu) / d, vlo * (1 - vlo) * (vu + vlo) / d,
                                      2 * vlo * (1 - vlo) * vu / d, ctx)
-
-
-def cos_u_of_v(v, a, ctx: PrecisionContext) -> BigReal:
-    """cos(u) = sqrt(b) sqrt(v^-2 - 1), the inverse of v(u) = (cos(u)^2 / b + 1)^(-1/2)
-    with b = (1-a^4)/a^4, u in [0, pi/2]."""
-    with ctx.workdps():
-        vv = as_real(v, ctx)
-        if not 0 < vv <= 1:
-            raise DomainError(f"need 0 < v <= 1, got {vv}")
-        b = cassini_b(a, ctx)
-        t = 1 / (vv * vv) - 1
-        return mp.sqrt(b) * mp.sqrt(t)

@@ -11,12 +11,12 @@ known derivative, so ``leaf_radius`` finds s_i with F(s_i) = (i/l) F(1)
 by Newton's method from s = i/l in a few F evaluations (steps leaving
 the bracket of residual signs, as near s = 1 where F' blows up, are
 replaced by bisection).  ``cassini_cos_u`` inverts the Cassini oval's
-reduced elliptic integral in v in closed form, through Jacobi sn.  The
-two points at angles u/2 and pi/2 - u/2 bound the shortest arc of
-length l(C_a)/(4n); ``divide_cassini`` checks the inversion with two
-reduced integrals (Carlson R_F), and the arc by quadrature in y = r^2
-between the points (``radial_arc_integral``), independent of both and
-of the closed-form length.
+reduced elliptic integral in v in closed form, through Jacobi sn, and
+takes cos(u) from sn and cn.  The two points at angles u/2 and
+pi/2 - u/2 bound the shortest arc of length l(C_a)/(4n) = K(m)/n;
+``divide_cassini`` checks the inversion with two reduced integrals
+(Carlson R_F, no K), and the arc by quadrature in y = r^2 between the
+points (``radial_arc_integral``, no sn or R_F) against K(m)/n.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .curves import (Regular, Sinusoidal, _cassini_scale, cassini_reduced_integral, cos_u_of_v,
+from .curves import (Sinusoidal, _as_fraction, _cassini_scale, cassini_reduced_integral,
                      exponent_2q, normalized_arc_integral, normalized_arc_total,
-                     radial_arc_integral, total_length_closed)
+                     radial_arc_integral)
 from .errors import ConfigurationError, ConvergenceError, DomainError, InternalConsistencyError
 from .numkernel import BigReal, PrecisionContext, as_real
 from .specfun import ellip_k, ellip_sn
@@ -167,47 +167,51 @@ def expand_by_symmetry(curve, points: list, ctx: PrecisionContext) -> list:
 def cassini_cos_u(a, n: int, ctx: PrecisionContext) -> tuple:
     """(cos_u, v_u) of the order-n division of C_a, 0 < a < 1: the reduced integral
     from v0 = sqrt(1 - a^4) to v_u is (n-1)/n of its total, and by Byrd and Friedman
-    256.00 v_u = v0 / (1 - (1 - v0) sn^2(((n-1)/n) K(m) | m)), m = (1 - v0)/2."""
+    256.00 v_u = v0 / (1 - w sn^2), sn = sn(((n-1)/n) K(m) | m), w = 1 - v0, m = w/2.
+    Then cos(u)^2 = b (v_u^-2 - 1), b = (1 - a^4)/a^4, is cn^2 (1 - w sn^2/(1 + v0))."""
     if not isinstance(n, int) or n < 1:
         raise ConfigurationError(f"need integer n >= 1, got {n!r}")
-    v0 = _cassini_scale(a, ctx)[0]
+    v0, w = _cassini_scale(a, ctx)[:2]
     with ctx.workdps(10):
-        m = (1 - v0) / 2
-        sn = ellip_sn(mp.mpf(n - 1) / n * ellip_k(m, ctx), m, ctx)
-        v = v0 / (1 - (1 - v0) * sn * sn)
-        cos_u = cos_u_of_v(v, a, ctx) if v > v0 else mp.mpf(1)
-        return min(cos_u, mp.mpf(1)), v
+        m = w / 2
+        s2 = ellip_sn(mp.mpf(n - 1) / n * ellip_k(m, ctx), m, ctx) ** 2
+        return mp.sqrt((1 - s2) * (1 - w * s2 / (1 + v0))), v0 / (1 - w * s2)
 
 
 def divide_cassini(a, n: int, ctx: PrecisionContext) -> CassiniDivision:
     """Two algebraic points on C_a, at angles u/2 and pi/2 - u/2 with cos(u)
-    from ``cassini_cos_u``, whose shortest arc is l(C_a)/(4n).
+    from ``cassini_cos_u``, whose shortest arc is l(C_a)/(4n) = K(m)/n,
+    m = (1 - sqrt(1 - a^4))/2.
 
     Two checks independent of the inversion: ``residual`` |I(v_u) - ((n-1)/n) I(1)|
-    from two reduced integrals, and the arc between the points integrated in
-    y = r^2, monotone in the angle on [0, pi/2], from y = root - c to root + c,
-    c = a^2 cos(u) and root = sqrt(1 - a^4 sin(u)^2).
+    from two reduced integrals, which use no K, and the arc between the points
+    integrated in y = r^2, which uses no sn, monotone in the angle on [0, pi/2],
+    from ya = (1 - a^4)/yb to yb = root + a^2 cos(u), root = sqrt(1 - a^4 sin(u)^2).
+    Both limits go to the integral as their gaps to 1 - a^2 and 1 + a^2, which
+    are exactly 0 at n = 1.
     """
     cos_u, v = cassini_cos_u(a, n, ctx)
-    curve = Regular(a, 2)
+    a = _as_fraction(a)
+    w = _cassini_scale(a, ctx)[1]
     with ctx.workdps(10):
         u = mp.acos(cos_u)
         total = cassini_reduced_integral(a, 1, ctx)
         resid = abs(cassini_reduced_integral(a, v, ctx) - mp.mpf(n - 1) / n * total)
-        # the limits at the integral's own precision, so that at n = 1 they
-        # are exactly its endpoints 1 - a^2 and 1 + a^2; for k = 2 the arc
-        # is the integral itself
-        with ctx.workdps():
-            a2 = as_real(curve.a, ctx) ** 2
-            c = a2 * cos_u
-            root = mp.sqrt(1 - a2 * a2 * mp.sin(u) ** 2)
-            arc = radial_arc_integral(a2, 2, root - c, root + c, ctx)
-        arc_resid = abs(arc - total_length_closed(curve, ctx) / (4 * n))
+        a2 = as_real(a ** 2, ctx)
+        a4 = as_real(a ** 4, ctx)
+        sin_u = mp.sin(u)
+        root = mp.sqrt(1 - a4 * sin_u ** 2)
+        yb = root + a2 * cos_u
+        # 1 + a^2 - yb = (1 - root) + a^2 (1 - cos(u)), and ya - (1 - a^2) from ya yb = 1 - a^4
+        gap_hi = a4 * sin_u ** 2 / (1 + root) + 2 * a2 * mp.sin(u / 2) ** 2
+        gap_lo = as_real(1 - a ** 2, ctx) * gap_hi / yb
+        arc = radial_arc_integral(a, 2, gap_lo, gap_hi, ctx)
+        arc_resid = abs(arc - ellip_k(w / 2, ctx) / n)
         bound = mp.mpf(10) ** (-ctx.digits + 5)
         if resid > bound or arc_resid > bound:
             raise InternalConsistencyError(
                 f"Cassini division residuals exceed tolerance: {resid}, {arc_resid}")
-        r1, r2 = mp.sqrt(root + c), mp.sqrt(root - c)
+        r1, r2 = mp.sqrt(yb), mp.sqrt(as_real(1 - a ** 4, ctx) / yb)
         return CassiniDivision(
             n=n, u=u, v_u=v, cos_u=cos_u,
             P=(r1 * mp.cos(u / 2), r1 * mp.sin(u / 2)),

@@ -1,12 +1,12 @@
 """Independent routes that only the tests call, to check what the package
 computes with: fresh quadratures of lengths the package takes in closed
-form or in the radius, and the map v(u) that ``cos_u_of_v`` inverts."""
+form or in the radius, and the map v(u) of the reduced Cassini integral."""
 
 from fractions import Fraction
 
 from mpmath import mp
 
-from serretlab.curves import Regular, Sinusoidal, cassini_b, exponent_2q
+from serretlab.curves import Regular, Sinusoidal, exponent_2q
 from serretlab.errors import DomainError
 from serretlab.numkernel import as_real
 from serretlab.quadrature import _one_minus_power, tanh_sinh
@@ -114,7 +114,7 @@ def v_of_u(u, a, ctx):
         slack = mp.mpf(10) ** (-ctx.digits)
         if uv < -slack or uv > mp.pi / 2 + slack:
             raise DomainError(f"need 0 <= u <= pi/2, got {uv}")
-        b = cassini_b(a, ctx)
+        b = as_real((1 - Fraction(a) ** 4) / Fraction(a) ** 4, ctx)
         return mp.power(mp.cos(uv) ** 2 / b + 1, mp.mpf(-1) / 2)
 
 

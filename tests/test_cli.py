@@ -223,6 +223,12 @@ class TestDivide:
         assert run(capsys, "divide", "--cassini", "a=4/5", "--parts", "2")[0] == 2
         assert run(capsys, "divide", "--erdos", "2")[0] == 2
 
+    def test_max_degree_zero_is_a_usage_error(self, capsys):
+        # 0 is a request, not "unset": minpoly refuses it instead of the default cap
+        for curve in (["--erdos", "1", "--parts", "2"], ["--cassini", "a=4/5", "--n", "2"]):
+            code, _, err = run(capsys, "divide", *curve, "--minpoly", "--max-degree", "0")
+            assert code == 2 and "max_degree must be >= 1" in err, curve
+
     def test_numeric_error_exit_code(self, capsys):
         code, _, err = run(capsys, "divide", "--cassini", "a=3/2", "--n", "1")
         assert code == 3
