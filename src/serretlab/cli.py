@@ -2,7 +2,8 @@
 
 Commands
 --------
-length      closed-form and quadrature total lengths, with discrepancy
+length      closed-form and quadrature total lengths, with discrepancy;
+            exit 3 when they differ by more than 2 * 10^-digits * max(1, |l|)
 divide      equal-arc division points (leaf curves or Cassini ovals)
 identities  run the identity suite; exit 1 if any check fails
 minpoly     integer minimal-polynomial search for a constant
@@ -11,8 +12,9 @@ plot        SVG rendering, optionally with division markers
 Numbers in JSON/CSV output are decimal strings carrying the full
 requested digits; output is byte-deterministic for fixed inputs.
 Exit codes: 0 success, 1 identity/verification failure, 2 usage,
-3 numeric error, 4 I/O error.  With ``--format json`` (the default), exit
-codes 2 and 3 also write a JSON error document to stdout:
+3 numeric error (including two routes that disagree), 4 I/O error.  With
+``--format json`` (the default), exit codes 2 and 3 also write a JSON
+error document to stdout:
 {"command", "exit_code", "error": {"kind", "message"[, "best", "state"]}},
 ``best`` and ``state`` (convergence failures only) with numbers as
 decimal strings.
@@ -122,8 +124,6 @@ def _length_citations(curve):
              "l(C_(a,k)) = 2k int 2 r^k dr / sqrt((r^(2k)-(a^k-1)^2)((1+a^k)^2-r^(2k)))"]
     if curve.a > 1:
         cites.insert(0, "l(C_(a,k)) = a^-(k-1) l(C_(1/a,k)) for a > 1")
-    if curve.k == 2 and curve.a < 1:
-        cites.append("l(C_a) = 4 K((1 - sqrt(1-a^4))/2), K(m) = int_0^1 dt/sqrt((1-t^2)(1-m t^2))")
     return cites
 
 
@@ -165,6 +165,10 @@ def cmd_length(ns) -> int:
         closed = total_length_closed(curve, ctx)
         quad = total_length_quadrature(curve, ctx)
         disc = abs(closed - quad)
+        # two values that each keep the contract differ by at most twice its bound
+        if disc > 2 * mp.mpf(10) ** -ctx.digits * max(1, abs(closed)):
+            raise InternalConsistencyError(
+                f"closed form and quadrature disagree by {mp.nstr(disc, 2)}")
     _report(ns, _curve_params(curve), [{
         "closed_form": to_decimal(closed, ctx),
         "quadrature": to_decimal(quad, ctx),

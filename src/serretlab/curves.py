@@ -11,8 +11,9 @@ Families
 * ``PolyLemniscate(coeffs)``  |P(z)| = 1 for an arbitrary polynomial;
   accepted only by the render module.
 
-Two independent total-length routes are provided: closed forms (Beta /
-2F1 / K) and direct quadrature of the arc-length integral in the radius,
+Two independent total-length routes are provided: closed forms (Beta
+for the leaf curves, 2F1 with an exact argument for Regular curves) and
+direct quadrature of the arc-length integral in the radius,
 
     l = 2k int 2 r^k dr / sqrt((r^2k - (a^k-1)^2)((1+a^k)^2 - r^2k))
 
@@ -34,10 +35,10 @@ from typing import Union
 
 from mpmath import mp
 
-from .errors import ConfigurationError, DomainError, InternalConsistencyError
+from .errors import ConfigurationError, DomainError
 from .numkernel import BigReal, PrecisionContext, as_real
 from .quadrature import _one_minus_power, tanh_sinh
-from .specfun import beta, carlson_rf, ellip_k, hyp2f1
+from .specfun import beta, carlson_rf, hyp2f1
 
 
 def _as_fraction(x) -> Fraction:
@@ -159,35 +160,21 @@ def normalized_arc_integral(exponent_2q, s_end, f_one, ctx: PrecisionContext) ->
         return f_one - 2 * a * mp.sqrt(w) * hyp2f1(half, 1 - a, 3 * half, w, ctx)
 
 
-def _closed_regular_lt1(a: Fraction, k: int, ctx: PrecisionContext) -> BigReal:
-    """2 pi 2F1((k-1)/2k, (k-1)/2k, 1; a^2k) for 0 < a < 1.
-
-    For k = 2 the same length equals 4 K((1 - sqrt(1-a^4))/2); both are
-    computed and must agree to 10**(-digits+3).
-    """
-    with ctx.workdps():
-        av = as_real(a, ctx)
-        p = mp.mpf(k - 1) / (2 * k)
-        val = 2 * mp.pi * hyp2f1(p, p, 1, av ** (2 * k), ctx)
-        if k == 2:
-            alt = 4 * ellip_k((1 - mp.sqrt(1 - av ** 4)) / 2, ctx)
-            if abs(val - alt) > mp.mpf(10) ** (-ctx.digits + 3) * max(mp.mpf(1), abs(val)):
-                raise InternalConsistencyError(
-                    f"2F1 and K forms of l(C_a) disagree at a={a}: {val} vs {alt}")
-        return val
-
-
 def total_length_closed(curve, ctx: PrecisionContext) -> BigReal:
-    """Total length by closed form (Beta for leaves, 2F1/K for Regular)."""
+    """Total length by closed form: 2 leaves 2^(1/q) F(1) for the leaf
+    curves, F(1) = B(1/2, 1/(2q))/(2q); for Regular curves
+    2 pi 2F1(p, p; 1; b^(2k)), p = (k-1)/(2k), b = min(a, 1/a), with b^(2k)
+    passed exact so that 1 - b^(2k) keeps its digits as a -> 1, and
+    l(C_a) = a^-(k-1) l(C_(1/a)) for a > 1."""
     with ctx.workdps():
         if isinstance(curve, Sinusoidal):
-            q = as_real(curve.q, ctx)
-            return curve.b * 2 ** (1 / q) * beta(mp.mpf(1) / 2, 1 / (2 * q), ctx)
+            top = mp.power(2, 1 / as_real(curve.q, ctx))
+            return 2 * curve.leaves * top * normalized_arc_total(exponent_2q(curve), ctx)
         if isinstance(curve, Regular):
-            if curve.a < 1:
-                return _closed_regular_lt1(curve.a, curve.k, ctx)
-            scale = as_real(curve.a, ctx) ** (curve.k - 1)
-            return _closed_regular_lt1(1 / curve.a, curve.k, ctx) / scale
+            a, k = curve.a, curve.k
+            p = Fraction(k - 1, 2 * k)
+            val = 2 * mp.pi * hyp2f1(p, p, 1, min(a, 1 / a) ** (2 * k), ctx)
+            return val if a < 1 else val / as_real(a, ctx) ** (k - 1)
         raise DomainError("no closed-form length for PolyLemniscate")
 
 

@@ -15,6 +15,8 @@ Jacobi's sn(u | m) takes the same parameter m, with 0 <= m < 1.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from mpmath import mp
 
 from .errors import ConvergenceError, DomainError
@@ -176,6 +178,8 @@ def _series_2f1(p, q, r, z, tol_digits: int) -> BigReal:
     _MAX_SERIES_TERMS raises :class:`ConvergenceError` before any term.
     """
     eps = mp.mpf(10) ** (-tol_digits)
+    if z >= 1:  # an exact z < 1 that rounded to 1: no term budget is enough
+        raise ConvergenceError(f"2F1 series cannot converge at z = {z} (p={p}, q={q}, r={r})")
     need = tol_digits * mp.log(10) / -mp.log(z) if z > 0 else 0
     if need > _MAX_SERIES_TERMS:
         raise ConvergenceError(f"2F1 series would need about {int(need)} terms "
@@ -199,19 +203,18 @@ def _series_2f1(p, q, r, z, tol_digits: int) -> BigReal:
                            f"(p={p}, q={q}, r={r}, z={z})")
 
 
-def _one_minus_z(p, q, r, z, ctx: PrecisionContext) -> BigReal:
-    """2F1 for 0 < z < 1 through two series in 1 - z (DLMF 15.8.4), s = r - p - q
+def _one_minus_z(p, q, r, w, ctx: PrecisionContext) -> BigReal:
+    """2F1 for 0 < z < 1 through two series in w = 1 - z (DLMF 15.8.4), s = r - p - q
     not an integer and no Gamma below at a pole:
 
-    2F1(p,q;r;z) = G(r) G(s) / (G(r-p) G(r-q)) 2F1(p, q; 1-s; 1-z)
-                 + (1-z)^s G(r) G(-s) / (G(p) G(q)) 2F1(r-p, r-q; 1+s; 1-z).
+    2F1(p,q;r;z) = G(r) G(s) / (G(r-p) G(r-q)) 2F1(p, q; 1-s; w)
+                 + w^s G(r) G(-s) / (G(p) G(q)) 2F1(r-p, r-q; 1+s; w).
 
     As s nears an integer the two terms grow like 1/dist(s, Z) and cancel;
     beyond _INTEGER_MARGIN that costs at most 4 digits, so the series run
     5 digits past working.
     """
     sv = r - p - q
-    w = 1 - z
     digits = ctx.working_digits + 5
     g_r = gamma(r, ctx)
     first = (g_r * gamma(sv, ctx) / (gamma(r - p, ctx) * gamma(r - q, ctx))
@@ -221,13 +224,13 @@ def _one_minus_z(p, q, r, z, ctx: PrecisionContext) -> BigReal:
     return first + second
 
 
-def _hyp2f1_unit(p, q, r, z, ctx: PrecisionContext) -> BigReal:
-    """2F1 for 0 <= z < 1: the direct series, or the 1 - z route above
-    _ONE_MINUS_Z_ABOVE where it applies."""
+def _hyp2f1_unit(p, q, r, z, w, ctx: PrecisionContext) -> BigReal:
+    """2F1 for 0 <= z < 1, given w = 1 - z: the direct series, or the 1 - z
+    route above _ONE_MINUS_Z_ABOVE where it applies."""
     sv = r - p - q
     if (z > _ONE_MINUS_Z_ABOVE and abs(sv - mp.nint(sv)) >= _INTEGER_MARGIN
             and not any(_is_pole(g) for g in (p, q, r - p, r - q))):
-        return _one_minus_z(p, q, r, z, ctx)
+        return _one_minus_z(p, q, r, w, ctx)
     return _series_2f1(p, q, r, z, ctx.working_digits)
 
 
@@ -246,13 +249,17 @@ def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
     z, which refuses to start if it would need more than 500,000 terms);
     z < 0 by one Pfaff transformation
     2F1(p,q,r;z) = (1-z)^-p 2F1(p, r-q, r; z/(z-1)) followed by the same
-    routing of its image in (0, 1).
+    routing of its image in (0, 1), whose complement is 1/(1 - z).
+
+    A rational z (``Fraction`` or int) stays exact until 1 - z, or the
+    Pfaff image and its complement, are formed, so z = 1 - 10^-40 keeps
+    every digit of 1 - z; any other z is rounded first.
     """
     with ctx.workdps(10):
         p = as_real(p, ctx)
         q = as_real(q, ctx)
         r = as_real(r, ctx)
-        z = as_real(z, ctx)
+        z = Fraction(z) if isinstance(z, (int, Fraction)) else as_real(z, ctx)
         _check_2f1_domain(p, q, r, z)
         if z == 0:
             return mp.mpf(1)
@@ -260,6 +267,6 @@ def hyp2f1(p, q, r, z, ctx: PrecisionContext) -> BigReal:
             return (gamma(r, ctx) * gamma(r - p - q, ctx)
                     / (gamma(r - p, ctx) * gamma(r - q, ctx)))
         if z < 0:
-            w = z / (z - 1)
-            return (1 - z) ** (-p) * _hyp2f1_unit(p, r - q, r, w, ctx)
-        return _hyp2f1_unit(p, q, r, z, ctx)
+            image, w = as_real(z / (z - 1), ctx), as_real(1 / (1 - z), ctx)
+            return as_real(1 - z, ctx) ** (-p) * _hyp2f1_unit(p, r - q, r, image, w, ctx)
+        return _hyp2f1_unit(p, q, r, as_real(z, ctx), as_real(1 - z, ctx), ctx)

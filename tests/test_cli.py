@@ -17,6 +17,9 @@ GOLDEN_COMMANDS = {
     "length_erdos1": ["length", "--erdos", "1"],
     "length_sinusoidal_1_2": ["length", "--sinusoidal", "1/2"],
     "length_regular_a0.8_k2": ["length", "--regular", "a=0.8", "k=2"],
+    # a = 1 - 10^-40: 1 - a^6 must stay exact inside the closed form
+    "length_regular_a1-1e-40_k3": ["length", "--regular",
+                                   "a=0.9999999999999999999999999999999999999999", "k=3"],
     "divide_erdos3_parts2_d30": ["divide", "--erdos", "3", "--parts", "2", "--digits", "30"],
     "divide_cassini_a4_5_n2_d30": ["divide", "--cassini", "a=4/5", "--n", "2", "--digits", "30"],
     "divide_erdos2_parts2_minpoly": ["divide", "--erdos", "2", "--parts", "2", "--minpoly"],
@@ -161,6 +164,25 @@ class TestErrorDocument:
         assert error["best"] == "1." + "0" * 19
         assert error["state"] == {"bracket": [error["best"], error["best"]],
                                   "residual": "0.5" + "0" * 19}
+
+    def test_routes_that_disagree_exit_3(self, capsys):
+        # near a = 1 tanh-sinh accepts a level sum 4.0e-21 off the exact
+        # closed form at 25 digits; when the quadrature is mended this
+        # command exits 0
+        code, out, _ = run(capsys, "length", "--regular",
+                           "a=0.9999999999999999999999999999999999999999", "k=2", "--digits", "25")
+        doc = json.loads(out)
+        assert code == 3 and doc["exit_code"] == 3
+        assert doc["error"]["kind"] == "InternalConsistencyError"
+        assert doc["error"]["message"].startswith("closed form and quadrature disagree by ")
+
+    @pytest.mark.parametrize("factor,code", [("1.9", 0), ("2.1", 3)])
+    def test_length_gate_is_twice_the_contract(self, capsys, monkeypatch, factor, code):
+        # two values that each keep |err| <= 10^-digits max(1, |l|) differ
+        # by at most twice that: the gate sits there, relative to l = 16
+        monkeypatch.setattr("serretlab.cli.total_length_quadrature",
+                            lambda curve, ctx: 16 + mp.mpf(factor) * 16 * mp.mpf(10) ** -20)
+        assert run(capsys, "length", "--sinusoidal", "1/2", "--digits", "20")[0] == code
 
     def test_quadrature_best_estimate(self, capsys, monkeypatch):
         from functools import partial

@@ -13,7 +13,7 @@ from serretlab.division import divide_fundamental_arc
 from serretlab.errors import ConfigurationError, DomainError
 from serretlab.numkernel import as_real, make_context
 from serretlab.quadrature import tanh_sinh
-from serretlab.specfun import beta, hyp2f1
+from serretlab.specfun import beta, ellip_k, hyp2f1
 
 L_C2_60 = "7.41629870920548767373540138878104018487039529408706762231"
 
@@ -135,6 +135,21 @@ class TestTotalLengths:
         a = mp.mpf(3) / 5
         want = 2 * mp.pi * hyp2f1(mp.mpf(1) / 3, mp.mpf(1) / 3, 1, a ** 6, ctx50)
         assert abs(quad - want) < mp.mpf(10) ** -45
+
+    @pytest.mark.parametrize("digits", [50, 200])
+    @pytest.mark.parametrize("a", [Fraction(3, 10), Fraction(4, 5), 1 - Fraction(1, 10 ** 40),
+                                   Fraction(2)])
+    def test_cassini_k_form(self, a, digits):
+        # l(C_a) = 4 K(m), m = a^4 / (2 (1 + sqrt(1 - a^4))) with 1 - a^4
+        # exact, and l(C_a) = b l(C_b) for a > 1, b = 1/a
+        ctx = make_context(digits)
+        b = min(a, 1 / a)
+        octx = ctx.bumped(10)
+        with octx.workdps():
+            m = as_real(b ** 4, octx) / (2 * (1 + mp.sqrt(as_real(1 - b ** 4, octx))))
+            want = 4 * ellip_k(m, octx) * as_real(b if a > 1 else 1, octx)
+        got = total_length_closed(Regular(a, 2), ctx)
+        assert abs(got - want) <= mp.mpf(10) ** -digits * want
 
     def test_scaling_a_greater_one(self, ctx50):
         big = total_length_quadrature(Regular(2, 2), ctx50)

@@ -202,14 +202,21 @@ class TestHyp2F1NearOne:
     @pytest.mark.parametrize("digits", [15, 200, 1000])
     def test_against_mpmath(self, digits):
         ctx = make_context(digits)
-        for z in (mp.mpf("0.8"), mp.mpf("0.99"), 1 - mp.mpf(10) ** -6):
+        # a Fraction z stays exact in hyp2f1, so 1 - z keeps every digit;
+        # the oracle takes it with 80 digits to spare
+        for z in (mp.mpf("0.8"), mp.mpf("0.99"), 1 - mp.mpf(10) ** -6, 1 - Fraction(1, 10 ** 40)):
             for p, q, r in self.PARAMS:
-                with ctx.workdps():
-                    zc = +z  # the argument hyp2f1 sees
-                with mp.workdps(digits + 40):
-                    ref = mpmath.hyp2f1(p, q, r, zc)
+                if isinstance(z, Fraction):
+                    zc = z
+                    with mp.workdps(digits + 80):
+                        ref = mpmath.hyp2f1(p, q, r, mp.mpf(z.numerator) / z.denominator)
+                else:
+                    with ctx.workdps():
+                        zc = +z  # the argument hyp2f1 sees
+                    with mp.workdps(digits + 40):
+                        ref = mpmath.hyp2f1(p, q, r, zc)
                 got = hyp2f1(p, q, r, zc, ctx)
-                assert abs(got - ref) <= mp.mpf(10) ** -digits * max(1, abs(ref))
+                assert abs(got - ref) <= mp.mpf(10) ** -digits * max(1, abs(ref)), (z, p, q, r)
 
     def test_route_taken_only_above_crossover(self, ctx50, monkeypatch):
         calls = []
@@ -219,7 +226,16 @@ class TestHyp2F1NearOne:
         p, q = mp.mpf(1) / 3, mp.mpf(1) / 4
         for z in ("0.6", "0.75", "0.76", "-9"):  # -9: Pfaff image 0.9
             hyp2f1(p, q, 1, mp.mpf(z), ctx50)
-        assert [mp.nstr(z, 3) for z in calls] == ["0.76", "0.9"]
+        # the route is handed 1 - z, for the Pfaff image 1/(1 - z)
+        assert [mp.nstr(w, 3) for w in calls] == ["0.24", "0.1"]
+
+    def test_integer_z_is_exact(self, ctx50):
+        # z = -9: the Pfaff image 9/10 and its complement 1/10 are formed
+        # from the int as rationals, not as floats
+        p, q = mp.mpf(1) / 3, mp.mpf(1) / 4
+        with mp.workdps(90):
+            ref = mpmath.hyp2f1(p, q, 1, -9)
+        assert abs(hyp2f1(p, q, 1, -9, ctx50) - ref) <= mp.mpf(10) ** -50 * ref
 
     def test_integer_excess_stays_on_series(self, ctx50, monkeypatch):
         # r - p - q = 0 (K(m)) and 1: the connection coefficients have poles,
@@ -240,6 +256,9 @@ class TestHyp2F1NearOne:
         start = time.process_time()
         with pytest.raises(ConvergenceError):
             hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, 1 - mp.mpf(10) ** -12, ctx50)
+        # an exact z below 1 that rounds to 1 at working precision
+        with pytest.raises(ConvergenceError):
+            hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, 1 - Fraction(1, 10 ** 100), ctx50)
         assert time.process_time() - start < 1
 
     @pytest.mark.parametrize("z", ["0.3", "0.75", "0.9"])
@@ -270,13 +289,14 @@ class TestRegularLengthEdge:
         ctx = make_context(digits)
         start = time.process_time()
         for k in (2, 3, 5):
-            for j in (2, 4, 6, 8):
+            for j in (2, 4, 6, 8, 20, 40):
                 for a in (1 - Fraction(1, 10 ** j), 1 + Fraction(1, 10 ** j)):
-                    with mp.workdps(digits + 40):
+                    # j more digits keep 1 - a^2k, of size 10^-j, good to digits + 40
+                    with mp.workdps(digits + 40 + j):
                         ref = self._oracle(mp.mpf(a.numerator) / a.denominator, k)
                     got = total_length_closed(Regular(a, k), ctx)
                     assert abs(got - ref) <= mp.mpf(10) ** -digits * ref, (a, k)
-                    if digits == 15:  # the radial quadrature, as the CLI runs it
+                    if digits == 15 and j <= 8:  # the radial quadrature, as the CLI runs it
                         quad = total_length_quadrature(Regular(a, k), ctx)
                         assert abs(quad - ref) <= mp.mpf(10) ** -digits * ref, (a, k)
         assert time.process_time() - start < 60
