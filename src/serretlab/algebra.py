@@ -38,7 +38,7 @@ from .curves import Erdos
 from .errors import ConfigurationError, ConvergenceError, DomainError, SpuriousRelationError
 from .numkernel import BigReal, PrecisionContext, as_real
 
-DEFAULT_MAX_STEPS = 50_000
+MAX_STEPS = 50_000  # read at call time, so tests may lower it
 RAY_CLASS_DEGREE_CAP = 16  # degree cap for the n = 2, 3 lemniscates
 
 
@@ -64,17 +64,16 @@ def _nint_div(a: int, b: int) -> int:
     return q
 
 
-def pslq(xs: Sequence, max_height: int, ctx: PrecisionContext,
-         max_steps: int = DEFAULT_MAX_STEPS) -> Optional[list]:
+def pslq(xs: Sequence, max_height: int, ctx: PrecisionContext) -> Optional[list]:
     """Integers m, max|m_i| <= max_height, with sum m_i x_i ~ 0, or None.
 
     None means the iteration proved that no relation of the requested
     height exists (its norm bound exceeds max_height * sqrt(n)).  Running
-    out of ``max_steps`` or of precision raises :class:`ConvergenceError`
-    whose ``best`` is the basis column of the smallest |y| entry and whose
-    ``state`` holds the terms, iterations and proven norm bound; a
-    precision too low for the requested bounds raises
-    :class:`ConfigurationError` before any iteration.
+    out of precision, or past MAX_STEPS iterations, raises
+    :class:`ConvergenceError` whose ``best`` is the basis column of the
+    smallest |y| entry and whose ``state`` holds the terms, iterations
+    and proven norm bound; a precision too low for the requested bounds
+    raises :class:`ConfigurationError` before any iteration.
     """
     n = len(xs)
     if n < 2:
@@ -166,7 +165,7 @@ def pslq(xs: Sequence, max_height: int, ctx: PrecisionContext,
         # norm bound beyond it shows the working precision is spent
         over_height = None
         h_max = max(abs(H[r][r]) for r in range(n - 1))
-        for it in range(1, max_steps + 1):
+        for it in range(1, MAX_STEPS + 1):
             # row with the largest gamma^i |H_ii|
             m_row, best = 0, -1
             for i in range(n - 1):
@@ -212,7 +211,7 @@ def pslq(xs: Sequence, max_height: int, ctx: PrecisionContext,
                               "above max_height, then ran out of precision", it, h_max)
                 finish("proof", it, h_max)
                 return None  # no relation of this height exists
-        exhausted(f"ran out of max_steps = {max_steps}", max_steps, h_max)
+        exhausted(f"ran out of max_steps = {MAX_STEPS}", MAX_STEPS, h_max)
 
 
 @dataclass(frozen=True)

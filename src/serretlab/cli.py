@@ -364,7 +364,7 @@ def cmd_minpoly(ns) -> int:
     if ns.value is not None:
         literal = ns.value.strip().rstrip("…").rstrip(".")
         mantissa = literal.split("e")[0].split("E")[0]
-        sig = len(mantissa.replace("-", "").replace(".", "").lstrip("0"))
+        sig = len(mantissa.lstrip("+-").replace(".", "").lstrip("0"))
         digits = max(15, min(ns.digits, sig))
         ctx = make_context(digits)
         alpha = from_decimal(literal, ctx)

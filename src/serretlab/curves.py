@@ -31,13 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 from mpmath import mp
 
 from .errors import ConfigurationError, DomainError
 from .numkernel import BigReal, PrecisionContext, as_real
-from .quadrature import _one_minus_power, tanh_sinh
+from .quadrature import tanh_sinh
 from .specfun import beta, carlson_rf, hyp2f1
 
 
@@ -116,9 +115,6 @@ class PolyLemniscate:
             raise ConfigurationError("PolyLemniscate needs degree >= 1")
 
 
-Curve = Union[Sinusoidal, Regular, PolyLemniscate]
-
-
 def exponent_2q(curve) -> Fraction:
     """The 2q in the normalized arc integrand (1 - s^(2q))^(-1/2)."""
     if isinstance(curve, Sinusoidal):
@@ -176,6 +172,39 @@ def total_length_closed(curve, ctx: PrecisionContext) -> BigReal:
             val = 2 * mp.pi * hyp2f1(p, p, 1, min(a, 1 / a) ** (2 * k), ctx)
             return val if a < 1 else val / as_real(a, ctx) ** (k - 1)
         raise DomainError("no closed-form length for PolyLemniscate")
+
+
+# below this distance u from a singular endpoint, 1 - (1-u)^p is summed as a
+# series in u; above it the plain power loses < 15 of the spare digits
+_CANCELLATION_FLOOR = mp.mpf("1e-15")
+
+
+def _rational_power(x, p: Fraction) -> BigReal:
+    """x^p for x >= 0 and p = m/n > 0: an integer root and an integer power,
+    several times cheaper than exp(p log x)."""
+    root = x if p.denominator == 1 else mp.root(x, p.denominator)
+    return root ** p.numerator
+
+
+def _one_minus_power(u, p: Fraction) -> BigReal:
+    """1 - (1 - u)^p = -expm1(p log1p(-u)) for 0 < u <= 1 and p > 0, without
+    cancellation as u -> 0.
+
+    Below _CANCELLATION_FLOOR it is the binomial series sum_{j>=1} c_j u^j,
+    c_1 = p, c_{j+1} = c_j (j - p)/(j + 1), each term below 1e-15 times the
+    one before: a few multiplications instead of a log and an exp.
+    """
+    if u >= _CANCELLATION_FLOOR:
+        return 1 - _rational_power(1 - u, p)
+    p = mp.mpf(p.numerator) / p.denominator
+    term = total = p * u
+    tol = abs(total) * mp.eps / 2
+    j = 1
+    while abs(term) > tol:
+        term = term * (j - p) * u / (j + 1)
+        total += term
+        j += 1
+    return total
 
 
 def total_length_quadrature(curve, ctx: PrecisionContext) -> BigReal:

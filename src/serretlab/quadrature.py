@@ -8,9 +8,9 @@ all previous nodes.
 
 Abscissas are offsets from the nearest endpoint, delta(t) = 1 -
 tanh((pi/2) sinh t) = 2/(exp(2u) + 1), clipped at 10**(-clip) with clip
-about working_digits/(1+alpha) for the worst endpoint exponent alpha
-(twice the working digits at alpha = -1/2, whose square-root tail a clip
-at 10**-(digits+guard) would leave far above the target).
+= 2 working_digits + 21: an endpoint singularity x^alpha leaves a tail
+~ offset^(1+alpha), below the target for every exponent alpha >= -1/2
+(a clip at 10**-(digits+guard) would leave a square-root tail far above).
 
 Nodes that close to an endpoint round onto it at any affordable
 precision, so the integrand is never given x alone: it receives one
@@ -29,13 +29,13 @@ the target, which is then its ``error_estimate``; or, a level sooner
 digits grow quadratically, D1 <= 1.5 D2 < 0, and 1000 E is within the
 target, E = 10**max(D1**2/D2, 2 D1) being Bailey, Jeyabalan and Li's
 estimate of the next difference; ``error_estimate`` is then 1000 E.
-Either is raised to 10**-working_digits at least.
+Either is raised to 10**-working_digits at least.  Past level MAX_LEVEL
+the integral is given up (ConvergenceError).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -44,57 +44,15 @@ from mpmath import mp
 from .errors import ConvergenceError, DomainError, IntegrandError
 from .numkernel import BigReal, PrecisionContext, as_real
 
-DEFAULT_MAX_LEVEL = 12
-DEFAULT_ENDPOINT_EXPONENT = -0.5
+MAX_LEVEL = 12  # read at call time, so tests may lower it
 MAX_NODE_TABLES = 128  # 2.1x the 62 node tables a whole `lengths` benchmark run holds
 _EVAL_MARGIN = 20  # decimal places evaluated beyond the working digits
-# below this distance u from a singular endpoint, 1 - (1-u)^p is summed as a
-# series in u; above it the plain power loses < 15 of the spare digits
-_CANCELLATION_FLOOR = mp.mpf("1e-15")
 _RESEED = 64  # a node table's running e^t restarts from exp(t) this often
 _QUADRATIC_RATE = 1.5  # the stopping rule's 1.5 in D1 <= 1.5 D2 ...
 _ESTIMATE_MARGIN = 1000  # ... and its 1000 in 1000 E (module docstring)
 
 # an integrand receives one node (x, da, db) with da = x - a, db = b - x
 Integrand = Callable[[tuple], BigReal]
-
-
-def _clip_exponent(ctx: PrecisionContext, alpha: float) -> int:
-    """Node offsets stop at 10**-clip_exponent: an endpoint singularity
-    x^alpha leaves a tail ~ offset^(1+alpha), so the tail stays below the
-    target at clip_exponent ~ digits/(1+alpha), doubled for alpha = -1/2."""
-    if not -1 < alpha:
-        raise DomainError(f"endpoint exponent must be > -1, got {alpha}")
-    needed = (ctx.working_digits + 10) / (1 + float(alpha)) if alpha < 0 else 0
-    return max(2 * ctx.working_digits, int(needed) + 1)
-
-
-def _rational_power(x, p: Fraction) -> BigReal:
-    """x^p for x >= 0 and p = m/n > 0: an integer root and an integer power,
-    several times cheaper than exp(p log x)."""
-    root = x if p.denominator == 1 else mp.root(x, p.denominator)
-    return root ** p.numerator
-
-
-def _one_minus_power(u, p: Fraction) -> BigReal:
-    """1 - (1 - u)^p = -expm1(p log1p(-u)) for 0 < u <= 1 and p > 0, without
-    cancellation as u -> 0.
-
-    Below _CANCELLATION_FLOOR it is the binomial series sum_{j>=1} c_j u^j,
-    c_1 = p, c_{j+1} = c_j (j - p)/(j + 1), each term below 1e-15 times the
-    one before: a few multiplications instead of a log and an exp.
-    """
-    if u >= _CANCELLATION_FLOOR:
-        return 1 - _rational_power(1 - u, p)
-    p = mp.mpf(p.numerator) / p.denominator
-    term = total = p * u
-    tol = abs(total) * mp.eps / 2
-    j = 1
-    while abs(term) > tol:
-        term = term * (j - p) * u / (j + 1)
-        total += term
-        j += 1
-    return total
 
 
 @lru_cache(maxsize=MAX_NODE_TABLES)
@@ -138,9 +96,7 @@ class QuadratureResult:
     levels_used: int
 
 
-def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
-              max_level: int = DEFAULT_MAX_LEVEL,
-              min_endpoint_exponent: float = DEFAULT_ENDPOINT_EXPONENT) -> QuadratureResult:
+def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext) -> QuadratureResult:
     """Integrate f over (a, b) to context accuracy.
 
     f is called with one node ``(x, da, db)``, da = x - a and db = b - x
@@ -152,14 +108,13 @@ def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
     10**-(digits+3) relative to max(1, |S_k|), or, a level sooner, whose
     last three sums converge quadratically with 1000 times the estimated
     error E within that; ``error_estimate`` is the difference or 1000 E
-    (module docstring).  Past ``max_level`` it raises ConvergenceError with
+    (module docstring).  Past MAX_LEVEL it raises ConvergenceError with
     the last sum as ``best`` and state {"levels", "differences"}, the
     latter |S_k - S_(k-1)| for each level k >= 1.
 
-    ``min_endpoint_exponent`` (> -1) is the worst algebraic endpoint
-    exponent of f; below the default -1/2 it deepens the node cutoff.
+    The node cutoff serves algebraic endpoint exponents of -1/2 or more.
     """
-    clip_exp = _clip_exponent(ctx, min_endpoint_exponent)
+    clip_exp = 2 * ctx.working_digits + 21
     dps = ctx.working_digits + _EVAL_MARGIN
     with mp.workdps(dps):
         a, b = as_real(a, ctx), as_real(b, ctx)
@@ -180,7 +135,7 @@ def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
 
         total = mp.mpf(0)     # sum of w*f over all nodes seen so far
         sums = []
-        for level in range(0, max_level + 1):
+        for level in range(0, MAX_LEVEL + 1):
             for delta, w in _nodes(clip_exp, level, dps):
                 near = hw * delta
                 far = width - near
@@ -194,9 +149,9 @@ def tanh_sinh(f: Integrand, a, b, ctx: PrecisionContext,
                 return QuadratureResult(value, max(rel, floor) * max(mp.mpf(1), abs(value)), level)
         differences = [abs(s1 - s0) for s0, s1 in zip(sums, sums[1:])]
         raise ConvergenceError(
-            f"tanh-sinh did not converge by level {max_level}",
-            best=QuadratureResult(value, differences[-1] if differences else None, max_level),
-            state={"levels": max_level, "differences": differences})
+            f"tanh-sinh did not converge by level {MAX_LEVEL}",
+            best=QuadratureResult(value, differences[-1] if differences else None, MAX_LEVEL),
+            state={"levels": MAX_LEVEL, "differences": differences})
 
 
 def _accepted_error(sums, target):

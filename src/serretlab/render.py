@@ -70,7 +70,7 @@ def _leaf_points(q: float, center: float, samples: int):
     return pts
 
 
-def trace_polar(curve, samples: int = 360) -> list:
+def trace_polar(curve, samples: int) -> list:
     """Closed polylines approximating the curve, one per component.
 
     Erdos and sinusoidal leaves all meet at the origin and glue into a

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from serretlab.curves import Regular, Sinusoidal, exponent_2q
+from serretlab.curves import Regular, Sinusoidal, _one_minus_power, exponent_2q
 from serretlab.errors import DomainError
 from serretlab.numkernel import as_real
-from serretlab.quadrature import _one_minus_power, tanh_sinh
+from serretlab.quadrature import tanh_sinh
 from serretlab.specfun import beta
 
 

@@ -267,11 +267,12 @@ class TestPslqOutcomes:
         assert event["outcome"] == "proof" and event["terms"] == 2
         assert event["norm_bound"] > 1000 * mp.sqrt(2)
 
-    def test_max_steps_exhausted(self, searches):
+    def test_max_steps_exhausted(self, searches, monkeypatch):
+        monkeypatch.setattr("serretlab.algebra.MAX_STEPS", 1)
         ctx = make_context(35)
         xs = [E(ctx) ** k for k in range(17)]
         with pytest.raises(ConvergenceError, match="max_steps") as info:
-            pslq(xs, 2, ctx, max_steps=1)
+            pslq(xs, 2, ctx)
         state = info.value.state
         assert state["terms"] == 17 and state["iterations"] == 1
         assert state["norm_bound"] > 0

@@ -185,11 +185,7 @@ class TestErrorDocument:
         assert run(capsys, "length", "--sinusoidal", "1/2", "--digits", "20")[0] == code
 
     def test_quadrature_best_estimate(self, capsys, monkeypatch):
-        from functools import partial
-
-        from serretlab import curves
-
-        monkeypatch.setattr(curves, "tanh_sinh", partial(curves.tanh_sinh, max_level=1))
+        monkeypatch.setattr("serretlab.quadrature.MAX_LEVEL", 1)
         code, out, _ = run(capsys, "length", "--erdos", "5", "--digits", "17")
         assert code == 3
         error = json.loads(out)["error"]
@@ -302,6 +298,15 @@ class TestMinpoly:
         assert row["minpoly"] == "x^2 - 2"
         assert row["minpoly_verified"] is True
         assert run(capsys, "minpoly", "--const", "sqrt2", "--digits", "1001")[0] == 2
+
+    def test_plus_sign_adds_no_significant_digits(self, capsys):
+        # a literal's '+' and the zeros after it are not significant: both
+        # forms carry 34 digits, too few to prove that no relation exists
+        tiny = "0.000000000000000000000000000001414213562373095048801688724209698"
+        unsigned, signed = (run(capsys, "minpoly", "--max-degree", "2", "--max-height", "100",
+                                "--", sign + tiny) for sign in ("", "+"))
+        assert unsigned[0] == signed[0] == 3
+        assert signed[1] == unsigned[1]
 
     def test_phi_verified(self, capsys):
         doc = run_json(capsys, "minpoly", "--const", "phi", "--max-degree", "4")

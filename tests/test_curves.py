@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from oracles import angular_arc_length, angular_total_length, subarc_length, v_of_u
-from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal,
+from serretlab.curves import (Erdos, PolyLemniscate, Regular, Sinusoidal, _one_minus_power,
                               cassini_reduced_integral, exponent_2q,
                               normalized_arc_integral, normalized_arc_total,
                               radial_arc_integral, total_length_closed, total_length_quadrature)
@@ -273,6 +273,23 @@ class TestPolarArcLength:
         curve = Regular(Fraction(4, 5), 2)
         quarter = angular_arc_length(curve, 0, mp.pi / 2, ctx50)
         assert abs(quarter - total_length_closed(curve, ctx50) / 4) < mp.mpf(10) ** -45
+
+
+class TestOneMinusPower:
+    """The singular leaf factor 1 - (1-u)^p, against -expm1(p log1p(-u))."""
+
+    @pytest.mark.parametrize("dps", [85, 1035])
+    def test_against_expm1_log1p(self, dps):
+        with mp.workdps(dps):
+            for p in (Fraction(6), Fraction(2, 7), Fraction(80), Fraction(32, 3)):
+                # both sides of the switch to the series at u = 1e-15
+                for u in (mp.mpf("0.5"), mp.mpf("2e-15"), mp.mpf("9e-16"),
+                          mp.mpf(10) ** -40, mp.mpf(10) ** -(dps + 100)):
+                    got = _one_minus_power(u, p)
+                    with mp.workdps(dps + 40):
+                        ref = -mp.expm1(mp.mpf(p.numerator) / p.denominator * mp.log1p(-u))
+                    # the plain power loses up to 15 of the 20 spare digits
+                    assert abs(got - ref) <= mp.mpf(10) ** -(dps - 20) * ref, (p, u)
 
 
 class TestWorkingPrecision:

@@ -9,8 +9,7 @@ import serretlab
 from oracles import beta_integral_check
 from serretlab.errors import ConvergenceError, DomainError, IntegrandError
 from serretlab.numkernel import make_context
-from serretlab.quadrature import (_RESEED, QuadratureResult, _accepted_error, _nodes,
-                                  _one_minus_power, tanh_sinh)
+from serretlab.quadrature import _RESEED, QuadratureResult, _accepted_error, _nodes, tanh_sinh
 
 # frozen with mpmath.beta at 85 digits (independent of serretlab.specfun);
 # parsed lazily so the ambient-precision fixture governs the conversion
@@ -66,12 +65,13 @@ class TestTanhSinh:
             r = tanh_sinh(f, a, b, ctx50)
             assert abs(r.value - truth) <= 10 * r.error_estimate
 
-    def test_level_monotonicity(self, ctx50):
+    def test_level_monotonicity(self, ctx50, monkeypatch):
         for f, a, b, truth in _corpus(ctx50):
             errors = []
             for level in range(2, 8):
+                monkeypatch.setattr("serretlab.quadrature.MAX_LEVEL", level)
                 try:
-                    v = tanh_sinh(f, a, b, ctx50, max_level=level).value
+                    v = tanh_sinh(f, a, b, ctx50).value
                 except ConvergenceError as e:
                     v = e.best.value
                 errors.append(abs(v - truth))
@@ -107,9 +107,10 @@ class TestTanhSinh:
         with pytest.raises(IntegrandError):
             tanh_sinh(lambda node: mp.sqrt(node[0] - 2), 0, 1, ctx50)
 
-    def test_convergence_error_carries_best(self, ctx50):
+    def test_convergence_error_carries_best(self, ctx50, monkeypatch):
+        monkeypatch.setattr("serretlab.quadrature.MAX_LEVEL", 1)
         with pytest.raises(ConvergenceError) as err:
-            tanh_sinh(_arcsine, 0, 1, ctx50, max_level=1)
+            tanh_sinh(_arcsine, 0, 1, ctx50)
         best = err.value.best
         assert isinstance(best, QuadratureResult)
         assert abs(best.value - mp.pi / 2) < mp.mpf("1e-3")
@@ -233,23 +234,6 @@ class TestBetaIntegralCheck:
             beta_integral_check(0, 0, ctx50)
         with pytest.raises(DomainError):
             beta_integral_check(3, 3, ctx50)
-
-
-class TestOneMinusPower:
-    """The singular leaf factor 1 - (1-u)^p, against -expm1(p log1p(-u))."""
-
-    @pytest.mark.parametrize("dps", [85, 1035])
-    def test_against_expm1_log1p(self, dps):
-        with mp.workdps(dps):
-            for p in (Fraction(6), Fraction(2, 7), Fraction(80), Fraction(32, 3)):
-                # both sides of the switch to the series at u = 1e-15
-                for u in (mp.mpf("0.5"), mp.mpf("2e-15"), mp.mpf("9e-16"),
-                          mp.mpf(10) ** -40, mp.mpf(10) ** -(dps + 100)):
-                    got = _one_minus_power(u, p)
-                    with mp.workdps(dps + 40):
-                        ref = -mp.expm1(mp.mpf(p.numerator) / p.denominator * mp.log1p(-u))
-                    # the plain power loses up to 15 of the 20 spare digits
-                    assert abs(got - ref) <= mp.mpf(10) ** -(dps - 20) * ref, (p, u)
 
 
 class TestCachePolicy:

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from serretlab import specfun
-from serretlab.curves import Regular, total_length_closed, total_length_quadrature
+from serretlab.curves import Regular, _one_minus_power, total_length_closed, total_length_quadrature
 from serretlab.errors import ConvergenceError, DomainError
 from serretlab.numkernel import make_context, to_decimal
 from serretlab.quadrature import tanh_sinh
@@ -333,19 +333,21 @@ class TestTransformationProperties:
 
     def test_euler_integral(self, ctx50):
         # B(q, r-q) 2F1(p,q,r;z) = int_0^1 t^(q-1) (1-t)^(r-q-1) (1-zt)^(-p) dt
+        # = (1/q) int_0^1 (1-t)^(r-q-1) (1-zt)^(-p) du with t = u^(1/q), whose
+        # endpoint exponents r-q-1 are all -1/2 or more
         tol = mp.mpf(10) ** -45
-        grid = [(mp.mpf(1) / 4, mp.mpf(1) / 2, mp.mpf(3) / 2, mp.mpf("0.3")),
-                (mp.mpf(1) / 2, mp.mpf(3) / 4, mp.mpf(2), mp.mpf("-0.8")),
-                (mp.mpf(3) / 4, mp.mpf(1) / 3, mp.mpf(1), mp.mpf("0.6"))]
+        grid = [(Fraction(1, 4), Fraction(1, 2), Fraction(3, 2), Fraction(3, 10)),
+                (Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(-4, 5)),
+                (Fraction(3, 4), Fraction(1, 3), Fraction(1), Fraction(3, 5))]
         for p, q, r, z in grid:
             lhs = beta(q, r - q, ctx50) * hyp2f1(p, q, r, z, ctx50)
 
             def f(node, p=p, q=q, r=r, z=z):
-                t, da, db = node
-                return da ** (q - 1) * db ** (r - q - 1) * (1 - z * t) ** (-p)
+                u, _, db = node  # 1 - t = 1 - (1 - db)^(1/q)
+                return (_one_minus_power(db, 1 / q) ** (r - q - 1)
+                        * (1 - z * u ** (1 / q)) ** (-p) / q)
 
-            worst = float(min(q - 1, r - q - 1, 0))
-            rhs = tanh_sinh(f, 0, 1, ctx50, min_endpoint_exponent=worst).value
+            rhs = tanh_sinh(f, 0, 1, ctx50).value
             assert abs(lhs - rhs) <= tol
 
     def test_pfaff(self, ctx50):
