@@ -29,7 +29,7 @@ count and proven norm bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, log10
+from math import ceil, gcd, isqrt, log10
 from typing import Callable, Optional, Sequence
 
 from mpmath import mp
@@ -82,7 +82,7 @@ def pslq(xs: Sequence, max_height: int, ctx: PrecisionContext) -> Optional[list]
         raise ConfigurationError(
             f"precision {ctx.digits} digits cannot certify relations on "
             f"{n} numbers with height {max_height}: need >= "
-            f"{20 + int(n * log10(max_height)) + 1} digits")
+            f"{20 + ceil(n * log10(max_height))} digits")
 
     with ctx.workdps(10):
         x = [as_real(v, ctx) for v in xs]
@@ -254,6 +254,8 @@ def minpoly(alpha, max_degree: int, max_height: int, ctx: PrecisionContext,
 
     ``alpha`` may be a number or a callable ctx -> value; a callable is
     also used to recompute alpha at digits + 40 for the shrink test.
+    An alpha equal to an integer m with |m| <= max_height is answered
+    x - m (verified, residual 0) without a search.
     Searches the top degree the precision budget allows first: a proof
     there returns status "none", or is a configuration error if the
     budget stops short of ``max_degree`` (the request cannot be decided).
@@ -266,12 +268,13 @@ def minpoly(alpha, max_degree: int, max_height: int, ctx: PrecisionContext,
     if refine is None and callable(alpha):
         refine = alpha
     value = refine(ctx) if callable(alpha) else alpha
-    with ctx.workdps():
-        if as_real(value, ctx) == 0:
-            return MinPolyCandidate((0, 1), 1, mp.mpf(0), 1, "found", True)
+    rounded = as_real(value, ctx)
+    if mp.isint(rounded) and abs(rounded) <= max_height:
+        m = int(rounded)
+        return MinPolyCandidate((-m, 1), 1, mp.mpf(0), max(abs(m), 1), "found", True)
 
-    budget = _precision_budget_degree(ctx, max_height) - 1
-    searchable = min(max_degree, budget)
+    # below degree 1, the first pslq call names the digits that degree 1 needs
+    searchable = max(1, min(max_degree, _precision_budget_degree(ctx, max_height) - 1))
     with ctx.workdps(10):
         a = as_real(value, ctx)
         powers = [mp.mpf(1)]

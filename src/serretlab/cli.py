@@ -9,10 +9,12 @@ identities  run the identity suite; exit 1 if any check fails
 minpoly     integer minimal-polynomial search for a constant
 plot        SVG rendering, optionally with division markers
 
+Every command validates ``--digits`` (15 to 1000) into one precision
+context before it runs, and options are taken by their full names only.
 Numbers in JSON/CSV output are decimal strings carrying the full
 requested digits; output is byte-deterministic for fixed inputs.
-Exit codes: 0 success, 1 identity/verification failure, 2 usage,
-3 numeric error (including two routes that disagree), 4 I/O error.  With
+Exit codes: 0 success, 1 identity/verification failure, 2 usage error
+(ConfigurationError), 3 any other SerretError, 4 I/O error.  With
 ``--format json`` (the default), exit codes 2 and 3 also write a JSON
 error document to stdout:
 {"command", "exit_code", "error": {"kind", "message"[, "best", "state"]}},
@@ -33,8 +35,7 @@ from mpmath import mp
 
 from . import algebra, division, identities, render
 from .curves import Erdos, PolyLemniscate, Regular, Sinusoidal, total_length_closed, total_length_quadrature
-from .errors import (ConfigurationError, ConvergenceError, DomainError, IntegrandError,
-                     InternalConsistencyError, SpuriousRelationError)
+from .errors import ConfigurationError, ConvergenceError, InternalConsistencyError, SerretError
 from .numkernel import from_decimal, make_context, to_decimal
 
 DEFAULT_DIGITS = 50
@@ -127,12 +128,11 @@ def _length_citations(curve):
     return cites
 
 
-def _report(ns, params, rows, citations, digits=None, **extra):
+def _report(ns, ctx, params, rows, citations, **extra):
     """Write {"command", "params", "digits", "results", "citations"[, "summary"]}
-    to stdout in ``ns.format``; ``digits`` defaults to the requested ones."""
-    digits = ns.digits if digits is None else digits
+    to stdout in ``ns.format``, with the digits of ``ctx``."""
     if ns.format == "json":
-        print(json.dumps({"command": ns.command, "params": params, "digits": digits,
+        print(json.dumps({"command": ns.command, "params": params, "digits": ctx.digits,
                           "results": rows, "citations": citations, **extra}, indent=2))
     elif ns.format == "csv":
         if rows:
@@ -141,7 +141,7 @@ def _report(ns, params, rows, citations, digits=None, **extra):
             for row in rows:
                 print(",".join(str(row.get(k, "")) for k in keys))
     else:
-        print(f"# {ns.command} (digits={digits})")
+        print(f"# {ns.command} (digits={ctx.digits})")
         for key, val in params.items():
             print(f"  {key} = {val}")
         for row in rows:
@@ -156,11 +156,8 @@ def _write_svg(path, polylines, markers, opts):
         fh.write(doc)
 
 
-def cmd_length(ns) -> int:
-    ctx = make_context(ns.digits)
+def cmd_length(ns, ctx) -> int:
     curve = _curve_from_flags(ns)
-    if isinstance(curve, PolyLemniscate):
-        raise ConfigurationError("length needs a curve with an arc-length formula")
     with ctx.workdps():
         closed = total_length_closed(curve, ctx)
         quad = total_length_quadrature(curve, ctx)
@@ -169,7 +166,7 @@ def cmd_length(ns) -> int:
         if disc > 2 * mp.mpf(10) ** -ctx.digits * max(1, abs(closed)):
             raise InternalConsistencyError(
                 f"closed form and quadrature disagree by {mp.nstr(disc, 2)}")
-    _report(ns, _curve_params(curve), [{
+    _report(ns, ctx, _curve_params(curve), [{
         "closed_form": to_decimal(closed, ctx),
         "quadrature": to_decimal(quad, ctx),
         "residual": to_decimal(disc, ctx),
@@ -251,11 +248,6 @@ def _divide_leaf(ns, ctx, curve):
             citations.append(bound.field_statement)
         cap = ns.max_degree if ns.max_degree is not None else (bound.degree_cap if bound else 8)
         for p, row in zip(points, rows):
-            if p.s == 0 or p.s == 1:
-                row.update(_minpoly_columns(
-                    algebra.MinPolyCandidate((0, 1) if p.s == 0 else (-1, 1),
-                                             1, mp.mpf(0), 1, "found", True), ctx))
-                continue
             cand = algebra.minpoly(p.s, cap, ns.max_height, ctx,
                                    refine=_leaf_radius(curve, ns.parts, p.index))
             row.update(_minpoly_columns(cand, ctx))
@@ -264,7 +256,7 @@ def _divide_leaf(ns, ctx, curve):
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
         polylines = render.trace_polar(curve, min(720, render.MAX_POLAR_VERTICES // curve.leaves))
         _write_svg(ns.svg_out, polylines, markers, render.RenderOptions())
-    _report(ns, {**_curve_params(curve), "parts": ns.parts}, rows, citations)
+    _report(ns, ctx, {**_curve_params(curve), "parts": ns.parts}, rows, citations)
     return 0
 
 
@@ -292,15 +284,14 @@ def _divide_cassini(ns, ctx):
         markers = [(float(result.P[0]), float(result.P[1]), "P"),
                    (float(result.P_prime[0]), float(result.P_prime[1]), "P'")]
         _write_svg(ns.svg_out, render.trace_polar(Regular(a, 2), 720), markers, render.RenderOptions())
-    _report(ns, {"family": "cassini", "a": str(a), "n": ns.n}, [row], [
+    _report(ns, ctx, {"family": "cassini", "a": str(a), "n": ns.n}, [row], [
         "I(u) = ((n-1)/n) I(pi/2) places points at angles u/2 and pi/2 - u/2",
         "shortest arc between them has length l(C_a)/(4n)",
     ])
     return 0
 
 
-def cmd_divide(ns) -> int:
-    ctx = make_context(ns.digits)
+def cmd_divide(ns, ctx) -> int:
     if ns.cassini is not None:
         if ns.parts is not None:
             raise ConfigurationError("--parts applies to leaf curves; use --n with --cassini")
@@ -313,8 +304,7 @@ def cmd_divide(ns) -> int:
     return _divide_leaf(ns, ctx, curve)
 
 
-def cmd_identities(ns) -> int:
-    ctx = make_context(ns.digits)
+def cmd_identities(ns, ctx) -> int:
     reports = identities.run_all(ctx)
     rows = []
     for r in reports:
@@ -326,7 +316,7 @@ def cmd_identities(ns) -> int:
             "passed": r.passed,
         })
     all_passed = all(r.passed for r in reports)
-    _report(ns, {}, rows, ["see per-check docstrings for the identity statements"],
+    _report(ns, ctx, {}, rows, ["see per-check docstrings for the identity statements"],
             summary={"passed": all_passed, "checks": len(reports),
                      "failed": [r.name for r in reports if not r.passed]})
     return 0 if all_passed else 1
@@ -357,16 +347,15 @@ def _constant_from_spec(spec: str):
     raise ConfigurationError(f"cannot parse constant pipeline {spec!r}")
 
 
-def cmd_minpoly(ns) -> int:
+def cmd_minpoly(ns, ctx) -> int:
     sources = [s for s in (ns.value, ns.const, ns.from_spec) if s is not None]
     if len(sources) != 1:
         raise ConfigurationError("give exactly one of: a literal, --const, --from")
     if ns.value is not None:
         literal = ns.value.strip().rstrip("…").rstrip(".")
         mantissa = literal.split("e")[0].split("E")[0]
-        sig = len(mantissa.lstrip("+-").replace(".", "").lstrip("0"))
-        digits = max(15, min(ns.digits, sig))
-        ctx = make_context(digits)
+        sig = len("".join(filter(str.isdigit, mantissa)).lstrip("0"))
+        ctx = make_context(max(15, min(ctx.digits, sig)))
         alpha = from_decimal(literal, ctx)
         refine = None
         source = f"literal ({sig} significant digits)"
@@ -374,7 +363,6 @@ def cmd_minpoly(ns) -> int:
         if ns.const not in _NAMED_CONSTANTS:
             raise ConfigurationError(
                 f"unknown constant {ns.const!r}; have {sorted(_NAMED_CONSTANTS)}")
-        ctx = make_context(ns.digits)
         fn = _NAMED_CONSTANTS[ns.const]
 
         def refine(c, fn=fn):
@@ -384,19 +372,18 @@ def cmd_minpoly(ns) -> int:
         alpha = refine(ctx)
         source = f"named constant {ns.const}"
     else:
-        ctx = make_context(ns.digits)
         refine, source = _constant_from_spec(ns.from_spec)
         alpha = refine(ctx)
 
     cand = algebra.minpoly(alpha, ns.max_degree, ns.max_height, ctx, refine=refine)
     row = {"value": to_decimal(alpha, ctx), "source": source, "status": cand.status}
     row.update(_minpoly_columns(cand, ctx))
-    _report(ns, {"max_degree": ns.max_degree, "max_height": ns.max_height}, [row],
-            ["PSLQ integer relation on (1, x, ..., x^d), gamma = sqrt(4/3)"], ctx.digits)
+    _report(ns, ctx, {"max_degree": ns.max_degree, "max_height": ns.max_height}, [row],
+            ["PSLQ integer relation on (1, x, ..., x^d), gamma = sqrt(4/3)"])
     return 0
 
 
-def cmd_plot(ns) -> int:
+def cmd_plot(ns, ctx) -> int:
     curve = _curve_from_flags(ns)
     optkw = {"grid_resolution": ns.grid}
     if ns.bbox:
@@ -418,7 +405,6 @@ def cmd_plot(ns) -> int:
         if ns.divide % per_leaf:
             raise ConfigurationError(
                 f"--divide must be a multiple of {per_leaf} for this curve")
-        ctx = make_context(ns.digits)
         points = division.divide_fundamental_arc(curve, ns.divide // per_leaf, ctx)
         expanded = division.expand_by_symmetry(curve, points, ctx)
         markers = [(float(p.x), float(p.y), f"P{p.index}") for p in expanded]
@@ -451,7 +437,12 @@ def _add_curve_flags(sub, with_poly=False):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise :class:`ConfigurationError`,
-    so that they exit 2 through the same path as every other usage error."""
+    so that they exit 2 through the same path as every other usage error.
+    It takes options by their full names only, the rule by which
+    :func:`_requested_format` reads ``--format``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -536,17 +527,16 @@ def _requested_format(argv) -> str:
     return fmt
 
 
-def _error_exit(ns, argv, exc, code: int) -> int:
+def _error_exit(ns, ctx, argv, exc, code: int) -> int:
     """Exit ``code``; in JSON mode first write the error document to stdout.
 
     The document carries the error kind and message and, for a
     :class:`ConvergenceError`, its ``best`` estimate and ``state`` with
-    every number as a decimal string of the requested digits.
+    every number as a decimal string of the digits of ``ctx``.
     """
     if (ns.format if ns is not None else _requested_format(argv)) == "json":
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConvergenceError):
-            ctx = make_context(ns.digits)
             error["best"] = _decimal_strings(exc.best, ctx)
             error["state"] = _decimal_strings(exc.state, ctx)
         doc = {"command": ns.command if ns is not None else None, "exit_code": code,
@@ -557,19 +547,19 @@ def _error_exit(ns, argv, exc, code: int) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = None
+    ns = ctx = None
     try:
         ns = build_parser().parse_args(argv)
-        return ns.func(ns)
+        ctx = make_context(ns.digits)
+        return ns.func(ns, ctx)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _error_exit(ns, argv, exc, 2)
-    except (DomainError, ConvergenceError, IntegrandError,
-            InternalConsistencyError, SpuriousRelationError) as exc:
+        return _error_exit(ns, ctx, argv, exc, 2)
+    except SerretError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return _error_exit(ns, argv, exc, 3)
+        return _error_exit(ns, ctx, argv, exc, 3)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -12,7 +12,7 @@ by Newton's method from s = i/l in a few F evaluations (steps leaving
 the bracket of residual signs, as near s = 1 where F' blows up, are
 replaced by bisection).  ``cassini_cos_u`` inverts the Cassini oval's
 reduced elliptic integral in v in closed form, through Jacobi sn, and
-takes cos(u) from sn and cn.  The two points at angles u/2 and
+takes cos(u) from sn alone (cn^2 = 1 - sn^2).  The two points at angles u/2 and
 pi/2 - u/2 bound the shortest arc of length l(C_a)/(4n) = K(m)/n;
 ``divide_cassini`` checks the inversion with two reduced integrals
 (Carlson R_F, no K), and the arc by quadrature in y = r^2 between the

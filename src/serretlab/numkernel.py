@@ -87,9 +87,14 @@ def to_decimal(x, ctx: PrecisionContext) -> str:
 
 
 def from_decimal(s: str, ctx: PrecisionContext) -> BigReal:
-    """Parse a decimal serialization at working precision."""
+    """Parse a decimal serialization at working precision.  Underscores
+    group digits (mpmath alone misplaces the point after one in the
+    fraction); non-finite values (nan, inf) are not decimal literals."""
     with ctx.workdps():
         try:
-            return mp.mpf(s.strip())
+            v = mp.mpf(s.strip().replace("_", ""))
         except Exception as exc:
             raise ConfigurationError(f"not a decimal literal: {s!r}") from exc
+    if not mp.isfinite(v):
+        raise ConfigurationError(f"not a decimal literal: {s!r}")
+    return v

@@ -145,6 +145,15 @@ class TestMinpoly:
         cand = minpoly(mp.mpf(0), 4, 100, ctx50)
         assert cand.coeffs == (0, 1)
 
+    def test_integer_input(self, ctx50):
+        # x - m without a search, and without recomputing alpha
+        def never(c):
+            raise AssertionError("refine called")
+
+        cand = minpoly(mp.mpf(-3), 4, 100, ctx50, refine=never)
+        assert (cand.coeffs, cand.height, cand.status, cand.verified) == ((3, 1), 3, "found", True)
+        assert cand.residual == 0
+
     def test_normalization(self, ctx50):
         # content removed, leading coefficient positive
         cand = minpoly(-mp.sqrt(2), 4, 100, ctx50)

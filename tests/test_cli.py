@@ -146,6 +146,15 @@ class TestErrorDocument:
         assert run(capsys, "length", "--erdos", "1", "--cassini", "a=1/2",
                    "--format=text")[1] == ""
 
+    def test_abbreviated_option_is_a_usage_error(self, capsys):
+        # options are taken by their full names only, the rule by which a
+        # command line that does not parse picks its error format
+        code, out, err = run(capsys, "length", "--erdos", "1", "--form", "text")
+        assert code == 2 and "unrecognized arguments: --form text" in err
+        assert json.loads(out)["exit_code"] == 2
+        code, out, _ = run(capsys, "length", "--erdos", "1", "--form", "text", "--bogus")
+        assert code == 2 and json.loads(out)["exit_code"] == 2
+
     def test_numeric_error_exit_3(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "divide", "--cassini", "a=1", "--n", "2")
         doc = json.loads(out)
@@ -298,6 +307,10 @@ class TestMinpoly:
         assert row["minpoly"] == "x^2 - 2"
         assert row["minpoly_verified"] is True
         assert run(capsys, "minpoly", "--const", "sqrt2", "--digits", "1001")[0] == 2
+        # checked before a literal lowers the precision to its own digits
+        code, out, _ = run(capsys, "minpoly", SQRT2_OVER_2, "--digits", "5000")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "digits must be in [15, 1000], got 5000"
 
     def test_plus_sign_adds_no_significant_digits(self, capsys):
         # a literal's '+' and the zeros after it are not significant: both
@@ -307,6 +320,33 @@ class TestMinpoly:
                                 "--", sign + tiny) for sign in ("", "+"))
         assert unsigned[0] == signed[0] == 3
         assert signed[1] == unsigned[1]
+
+    def test_integer_literal(self, capsys):
+        for literal, poly in (("1", "x - 1"), ("-3", "x + 3"), ("0", "x")):
+            row = run_json(capsys, "minpoly", "--", literal)["results"][0]
+            assert (row["minpoly"], row["minpoly_verified"]) == (poly, True), literal
+            assert mp.mpf(row["minpoly_residual"]) == 0
+
+    @pytest.mark.parametrize("literal", ["1.4142135623730951", "1.41421356237309504880168872"])
+    def test_too_short_for_degree_1(self, capsys, literal):
+        # 17 and 27 digits: degree 1 at height 10^4 needs 20 + 2*4 = 28
+        code, _, err = run(capsys, "minpoly", literal)
+        assert code == 2
+        assert "2 numbers with height 10000: need >= 28 digits" in err
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_non_finite_literal(self, capsys, literal):
+        code, out, _ = run(capsys, "minpoly", "--", literal)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == f"not a decimal literal: {literal!r}"
+
+    def test_significant_digits_are_digits(self, capsys):
+        # '_' groups digits for the parser but is not one: both forms carry 50
+        grouped = "0.707_106_781_186_547_524_400_844_362_104_849_039_284_835_937_688_47"
+        plain, spaced = (run_json(capsys, "minpoly", lit, "--digits", "60", "--max-degree", "4")
+                         for lit in (grouped.replace("_", ""), grouped))
+        assert spaced == plain and plain["digits"] == 50
+        assert plain["results"][0]["source"] == "literal (50 significant digits)"
 
     def test_phi_verified(self, capsys):
         doc = run_json(capsys, "minpoly", "--const", "phi", "--max-degree", "4")
@@ -406,6 +446,12 @@ class TestPlot:
         assert run(capsys, "plot", "--erdos", "2", "--bbox", "1,2,x,4", "--out", out)[0] == 2
         assert run(capsys, "plot", "--erdos", "2", "--bbox", "1,2,4", "--out", out)[0] == 2
         assert run(capsys, "plot", "--poly", "1:x,0", "--out", out)[0] == 2
+
+    def test_digits_validated(self, capsys, tmp_path):
+        # plot uses --digits only for --divide markers, yet checks it like every command
+        target = tmp_path / "x.svg"
+        assert run(capsys, "plot", "--erdos", "1", "--digits", "5000", "--out", str(target))[0] == 2
+        assert not target.exists()
 
     def test_io_error_exit_code(self, capsys):
         code, _, _ = run(capsys, "plot", "--erdos", "1",

@@ -53,3 +53,14 @@ class TestSerialization:
     def test_parse_garbage(self, ctx50):
         with pytest.raises(ConfigurationError):
             from_decimal("not-a-number", ctx50)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "+inf"])
+    def test_parse_non_finite(self, ctx50, text):
+        # mpmath reads these, but they are not decimal literals
+        with pytest.raises(ConfigurationError, match="not a decimal literal"):
+            from_decimal(text, ctx50)
+
+    def test_parse_grouped_digits(self, ctx50):
+        # mpmath alone reads '0.1_2' as 0.012
+        assert from_decimal("0.1_2", ctx50) == from_decimal("0.12", ctx50)
+        assert from_decimal("-1_000.5e1_0", ctx50) == from_decimal("-1000.5e10", ctx50)
